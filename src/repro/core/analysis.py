@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .entities import World
-from .labels import Facet
+from .labels import Facet, Label
 from .ledger import Ledger, Observation
 from .tuples import KnowledgeCell, KnowledgeTable, cell_from_labels, facets_in_ledger
 from .values import Subject
@@ -47,26 +47,6 @@ __all__ = [
     "BreachReport",
     "DecouplingAnalyzer",
 ]
-
-
-class _DisjointSet:
-    """Union-find over arbitrary hashable tokens."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[object, object] = {}
-
-    def find(self, token: object) -> object:
-        parent = self._parent.setdefault(token, token)
-        if parent == token:
-            return token
-        root = self.find(parent)
-        self._parent[token] = root
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
 
 
 @dataclass(frozen=True)
@@ -118,48 +98,135 @@ class BreachReport:
         return not self.coupled_subjects
 
 
+#: What an observation's label makes its linkage class hold (0: neither).
+_SENSITIVE_IDENTITY = 1
+_SENSITIVE_DATA = 2
+#: Label -> one of the above, filled once per distinct label.
+_LABEL_CLASSES: Dict[Label, int] = {}
+
+
+def _label_class(label: Label) -> int:
+    cls = 0
+    if label.is_sensitive:
+        cls = _SENSITIVE_IDENTITY if label.is_identity else _SENSITIVE_DATA
+    _LABEL_CLASSES[label] = cls
+    return cls
+
+
+def _find(parent: List[int], node: int) -> int:
+    """Root of ``node``, halving the path on the way up."""
+    while True:
+        up = parent[node]
+        if up == node:
+            return node
+        grand = parent[up]
+        parent[node] = grand
+        node = grand
+
+
+def _union(parent: List[int], a: int, b: int) -> None:
+    a = _find(parent, a)
+    b = _find(parent, b)
+    if a != b:
+        parent[a] = b
+
+
+class _Linkage:
+    """The linkage classes of one pool of observations.
+
+    A flat integer union-find.  There is one node per distinct value
+    digest, and every observation belongs to its digest's node, so a
+    value seen twice links its observations without a union.  A session
+    seen again joins its observations' nodes.  A *complete* share group
+    (at least ``total`` distinct indices, ``total`` taken from the
+    group's last share in pool order) joins its members' nodes and
+    counts as sensitive data there.  ``find`` is iterative, so a linkage
+    chain of any length fits the interpreter's stack.
+
+    After construction:
+
+    * ``nodes[i]`` is observation ``i``'s node;
+    * ``identity`` / ``data`` are the nodes of sensitive-identity and
+      sensitive-data observations, ``data`` including the first member
+      of every complete share group;
+    * ``reconstructed`` maps each complete share group, in order of
+      first appearance, to the position of its first member.
+    """
+
+    __slots__ = ("parent", "nodes", "identity", "data", "reconstructed")
+
+    def __init__(self, observations: Iterable[Observation]) -> None:
+        parent: List[int] = []
+        nodes: List[int] = []
+        identity: Set[int] = set()
+        data: Set[int] = set()
+        digest_node: Dict[str, int] = {}
+        session_node: Dict[str, int] = {}
+        share_indices: Dict[str, Set[int]] = {}
+        share_totals: Dict[str, int] = {}
+        share_members: Dict[str, List[int]] = {}
+        classes = _LABEL_CLASSES
+        for obs in observations:
+            digest = obs.value_digest
+            node = digest_node.get(digest)
+            if node is None:
+                node = digest_node[digest] = len(parent)
+                parent.append(node)
+            session = obs.session
+            if session:
+                first = session_node.setdefault(session, node)
+                if first != node:
+                    _union(parent, first, node)
+            cls = classes.get(obs.label)
+            if cls is None:
+                cls = _label_class(obs.label)
+            if cls == _SENSITIVE_IDENTITY:
+                identity.add(node)
+            elif cls == _SENSITIVE_DATA:
+                data.add(node)
+            share = obs.share_info
+            if share is not None:
+                group = share.group
+                share_indices.setdefault(group, set()).add(share.index)
+                share_totals[group] = share.total
+                share_members.setdefault(group, []).append(len(nodes))
+            nodes.append(node)
+        reconstructed: Dict[str, int] = {}
+        for group, indices in share_indices.items():
+            if len(indices) >= share_totals[group]:
+                members = share_members[group]
+                first = nodes[members[0]]
+                for member in members[1:]:
+                    _union(parent, first, nodes[member])
+                data.add(first)
+                reconstructed[group] = members[0]
+        self.parent = parent
+        self.nodes = nodes
+        self.identity = identity
+        self.data = data
+        self.reconstructed = reconstructed
+
+    def root(self, position: int) -> int:
+        """The linkage class of observation ``position``."""
+        return _find(self.parent, self.nodes[position])
+
+    def couples(self) -> bool:
+        """Does some class hold both a sensitive identity and data?
+
+        A pool with no sensitive identity, or with neither sensitive
+        data nor a complete share group, is ``False`` before any
+        ``find``.
+        """
+        if not self.identity or not self.data:
+            return False
+        parent = self.parent
+        identity_roots = {_find(parent, node) for node in self.identity}
+        return any(_find(parent, node) in identity_roots for node in self.data)
+
+
 def _observations_couple(observations: Sequence[Observation]) -> bool:
     """Linkage-based coupling over one subject's pooled observations."""
-    if not observations:
-        return False
-    dsu = _DisjointSet()
-    share_indices: Dict[str, Set[int]] = {}
-    share_totals: Dict[str, int] = {}
-    share_obs_tokens: Dict[str, List[int]] = {}
-    for index, obs in enumerate(observations):
-        token = ("obs", index)
-        if obs.session:
-            dsu.union(token, ("session", obs.session))
-        dsu.union(token, ("digest", obs.value_digest))
-        if obs.share_info is not None:
-            group = obs.share_info.group
-            share_indices.setdefault(group, set()).add(obs.share_info.index)
-            share_totals[group] = obs.share_info.total
-            share_obs_tokens.setdefault(group, []).append(index)
-
-    # Reconstructable share groups: merge their components and mark the
-    # merged component as holding reconstructed sensitive data.
-    reconstructed_roots: Set[object] = set()
-    for group, indices in share_indices.items():
-        if len(indices) >= share_totals[group]:
-            tokens = share_obs_tokens[group]
-            first = ("obs", tokens[0])
-            for other in tokens[1:]:
-                dsu.union(first, ("obs", other))
-            reconstructed_roots.add(dsu.find(first))
-
-    identity_roots: Set[object] = set()
-    data_roots: Set[object] = set()
-    for index, obs in enumerate(observations):
-        root = dsu.find(("obs", index))
-        if obs.label.is_identity and obs.label.is_sensitive:
-            identity_roots.add(root)
-        if obs.label.is_data and obs.label.is_sensitive:
-            data_roots.add(root)
-    # Reconstructed share groups count as sensitive data in whatever
-    # component they ended up in (re-canonicalized after all unions).
-    data_roots |= {dsu.find(root) for root in reconstructed_roots}
-    return bool(identity_roots & data_roots)
+    return _Linkage(observations).couples()
 
 
 class DecouplingAnalyzer:

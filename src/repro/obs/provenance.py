@@ -45,10 +45,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis import BreachReport, _DisjointSet
+from repro.core.analysis import BreachReport, _Linkage
 from repro.core.labels import Label
 from repro.core.ledger import Ledger, Observation
-from repro.core.serialize import label_to_dict
+from repro.core.serialize import label_to_dict, observation_from_dict
 
 __all__ = [
     "ProvenanceError",
@@ -680,54 +680,33 @@ def _find_witness(
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any], str]]:
     """Earliest (identity, data, link) witness triple in a linked pool.
 
-    Mirrors :func:`repro.core.analysis._observations_couple` -- same
-    session/digest/share-group unions -- but keeps the witnesses rather
-    than just the boolean.
+    The linkage classes come from the analyzer's own kernel
+    (:class:`repro.core.analysis._Linkage`) over the pool's
+    observations, so the witness joins exactly where the breach report
+    couples; this function only picks the witnesses and names the link.
     """
     if not pool:
         return None
-    dsu = _DisjointSet()
-    share_indices: Dict[str, Set[int]] = {}
-    share_totals: Dict[str, int] = {}
-    share_nodes: Dict[str, List[Dict[str, Any]]] = {}
-    for position, node in enumerate(pool):
-        token = ("obs", position)
-        if node["session"]:
-            dsu.union(token, ("session", node["session"]))
-        dsu.union(token, ("digest", node["value_digest"]))
-        share = node.get("share_info")
-        if share is not None:
-            share_indices.setdefault(share["group"], set()).add(share["index"])
-            share_totals[share["group"]] = share["total"]
-            share_nodes.setdefault(share["group"], []).append(node)
+    rows = [observation_from_dict(node) for node in pool]
+    linkage = _Linkage(rows)
 
-    reconstructed: List[Tuple[str, Dict[str, Any]]] = []
-    for group, indices in share_indices.items():
-        if len(indices) >= share_totals[group]:
-            members = share_nodes[group]
-            first = ("obs", pool.index(members[0]))
-            for other in members[1:]:
-                dsu.union(first, ("obs", pool.index(other)))
-            reconstructed.append((group, members[0]))
+    def earliest(position: int) -> Tuple[float, int]:
+        return pool[position]["time"], pool[position]["index"]
 
-    def root(node: Dict[str, Any]) -> object:
-        return dsu.find(("obs", pool.index(node)))
-
-    identity_nodes = [
-        n
-        for n in pool
-        if n["label"]["kind"] == "identity" and n["label"]["sensitivity"] == "sensitive"
-    ]
-    data_nodes = [
-        n
-        for n in pool
-        if n["label"]["kind"] == "data" and n["label"]["sensitivity"] == "sensitive"
-    ]
-    for identity_node in sorted(identity_nodes, key=lambda n: (n["time"], n["index"])):
-        identity_root = root(identity_node)
-        for data_node in sorted(data_nodes, key=lambda n: (n["time"], n["index"])):
-            if root(data_node) != identity_root:
+    sensitive = [p for p, row in enumerate(rows) if row.label.is_sensitive]
+    identity_positions = sorted(
+        (p for p in sensitive if rows[p].label.is_identity), key=earliest
+    )
+    data_positions = sorted(
+        (p for p in sensitive if rows[p].label.is_data), key=earliest
+    )
+    for identity_position in identity_positions:
+        identity_node = pool[identity_position]
+        identity_root = linkage.root(identity_position)
+        for data_position in data_positions:
+            if linkage.root(data_position) != identity_root:
                 continue
+            data_node = pool[data_position]
             if (
                 identity_node["session"]
                 and identity_node["session"] == data_node["session"]
@@ -740,11 +719,11 @@ def _find_witness(
             return identity_node, data_node, link
         # No directly sensitive data in the component: a reconstructable
         # share group may supply it (Prio-style coalitions).
-        for group, member in reconstructed:
-            if root(member) == identity_root:
+        for group, member in linkage.reconstructed.items():
+            if linkage.root(member) == identity_root:
                 return (
                     identity_node,
-                    member,
+                    pool[member],
                     f"reconstruction of all secret shares of group {group!r}",
                 )
     return None

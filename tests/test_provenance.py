@@ -15,8 +15,13 @@ import pytest
 from repro import obs
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
-from repro.core.labels import SENSITIVE_DATA, SENSITIVE_IDENTITY
-from repro.core.values import LabeledValue, Sealed, Subject
+from repro.core.labels import (
+    NONSENSITIVE_DATA,
+    NONSENSITIVE_IDENTITY,
+    SENSITIVE_DATA,
+    SENSITIVE_IDENTITY,
+)
+from repro.core.values import LabeledValue, Sealed, ShareInfo, Subject
 from repro.net.network import Network
 from repro.obs import analyze
 from repro.obs import export as obs_export
@@ -204,6 +209,75 @@ class TestBreachChain:
         breach = DecouplingAnalyzer(run.world).breach("relay-org")
         assert breach.breach_proof
         assert graph.breach_chain(breach) == []
+
+
+def _witness(*rows):
+    """The witness triple of breaching one org that saw ``rows``.
+
+    Each row is ``(label, payload, session)`` or ``(label, payload,
+    session, share_info)``, observed by one server at time = position,
+    so node ``obs:i`` is row ``i``.
+    """
+    world = World()
+    server = world.entity("Server", "server-org")
+    for position, (label, payload, session, *share) in enumerate(rows):
+        value = LabeledValue(
+            payload, label, ALICE, f"row {position}",
+            share_info=share[0] if share else None,
+        )
+        server.observe(value, time=float(position), session=session)
+    breach = DecouplingAnalyzer(world).breach("server-org")
+    assert breach.coupled_subjects == (ALICE,)
+    (chain,) = build_provenance(ledger=world.ledger).breach_chain(breach)
+    return (
+        chain.identity_chain.observation["id"],
+        chain.data_chain.observation["id"],
+        chain.link,
+    )
+
+
+class TestBreachWitness:
+    """One pinned witness triple per kind of link the analyzer joins on."""
+
+    def test_shared_session(self):
+        assert _witness(
+            (SENSITIVE_DATA, "unlinked query", "s0"),
+            (SENSITIVE_IDENTITY, "10.9.0.1", "s1"),
+            (SENSITIVE_DATA, "example.com", "s1"),
+        ) == ("obs:1", "obs:2", "shared session 's1'")
+
+    def test_same_value(self):
+        assert _witness(
+            (SENSITIVE_IDENTITY, "alice@example.org", "s1"),
+            (NONSENSITIVE_DATA, "ciphertext", "s2"),
+            (SENSITIVE_DATA, "alice@example.org", "s3"),
+        ) == ("obs:0", "obs:2", "the same value seen in both observations")
+
+    def test_transitive_linkage(self):
+        assert _witness(
+            (SENSITIVE_IDENTITY, "10.9.0.1", "s1"),
+            (NONSENSITIVE_IDENTITY, "pseudonym-7", "s1"),
+            (NONSENSITIVE_IDENTITY, "pseudonym-7", "s2"),
+            (SENSITIVE_DATA, "example.com", "s2"),
+        ) == ("obs:0", "obs:3", "transitive linkage through further observations")
+
+    def test_share_reconstruction_names_first_member(self):
+        # The identity joins the group through its second share; the
+        # witness is the group's first share in the pool.
+        assert _witness(
+            (NONSENSITIVE_DATA, "share-0", "s0", ShareInfo("g", 0, 2)),
+            (SENSITIVE_IDENTITY, "10.9.0.1", "s1"),
+            (NONSENSITIVE_DATA, "share-1", "s1", ShareInfo("g", 1, 2)),
+        ) == ("obs:1", "obs:0", "reconstruction of all secret shares of group 'g'")
+
+    def test_earliest_identity_then_earliest_linked_data(self):
+        assert _witness(
+            (SENSITIVE_IDENTITY, "10.9.0.9", "s9"),
+            (SENSITIVE_DATA, "other.org", "s8"),
+            (SENSITIVE_IDENTITY, "10.9.0.1", "s1"),
+            (SENSITIVE_DATA, "example.com", "s1"),
+            (SENSITIVE_DATA, "example.net", "s1"),
+        ) == ("obs:2", "obs:3", "shared session 's1'")
 
 
 class TestRoundTrip:
