@@ -86,7 +86,7 @@ def run(argv=None) -> int:
         points.append(point)
         print(
             f"{point.users:>9} users  {point.observations:>10} obs  "
-            f"{point.observations_per_second:>9.0f} obs/s  "
+            f"{point.observations_per_second:>9.0f} ingest obs/s  "
             f"ingest {point.ingest_seconds:8.2f}s  "
             f"rss {point.peak_rss_mb:8.1f} MiB  "
             f"segments {point.segments} "
@@ -107,7 +107,9 @@ def run(argv=None) -> int:
 
     document = {
         "series": "T",
-        "title": "streaming ledger + population engine scale points",
+        "title": (
+            "ledger ingest: streaming ledger + population engine scale points"
+        ),
         "rss_bound_mb": args.rss_bound_mb,
         "machine": {
             "python": platform.python_version(),

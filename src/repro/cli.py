@@ -1145,18 +1145,23 @@ def _run_risk(
 def _scale_document(points) -> dict:
     return {
         "series": "T",
-        "title": "streaming ledger + population engine scale points",
+        "title": (
+            "ledger ingest: streaming ledger + population engine scale points"
+        ),
         "points": [point.to_dict() for point in points],
     }
 
 
 def _print_scale(points, out) -> None:
-    print("T-series: streaming analysis at population scale", file=out)
+    print(
+        "T-series ledger ingest: streaming analysis at population scale",
+        file=out,
+    )
     for point in points:
         status = "ok" if point.mid_run_matches else "MISMATCH"
         print(
             f"  {point.users:>9} users  {point.observations:>10} obs"
-            f"  {point.observations_per_second:>9.0f} obs/s"
+            f"  {point.observations_per_second:>9.0f} ingest obs/s"
             f"  rss {point.peak_rss_mb:7.1f} MiB"
             f"  cr={point.collusion_resistance}"
             f"  mid-run {status}",
@@ -1597,7 +1602,7 @@ def main(argv=None, out=None) -> int:
     risk.add_argument("--faults", **faults_kwargs)
     scale = sub.add_parser(
         "scale",
-        help="T-series: streaming analysis at population scale",
+        help="T-series ledger ingest: streaming analysis at population scale",
     )
     scale.add_argument(
         "--users",

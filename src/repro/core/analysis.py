@@ -498,7 +498,9 @@ class DecouplingAnalyzer:
         self._sync()
         # Only candidate subjects can make the pooled check True; for
         # every other subject _coalition_couples_one is False by the
-        # same gate, so skipping them cannot change the any().
+        # same gate, so skipping them cannot change the any().  The
+        # candidates come newest first, so the pool built before the
+        # first True reloads the fewest spilled segments.
         ledger = self.ledger
         return any(
             self._coalition_couples_one(orgs, ledger.subject(name))

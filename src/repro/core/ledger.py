@@ -15,8 +15,9 @@ buckets, while the ledger keeps compact global summaries (subject and
 entity first-appearance order, per-pair label combinations, per-pair
 sensitivity flags, per-organization sensitive-subject sets, identity
 facets).  Sealed segments are immutable and can spill their rows to
-disk as JSONL; every query below merges per-segment buckets on demand,
-reloading spilled segments only when their rows are actually touched.
+disk, one compact JSON document per segment; every query below merges
+per-segment buckets on demand, reloading spilled segments only when
+their rows are actually touched.
 A default-constructed ledger never auto-seals, so small runs behave
 exactly like the flat in-memory ledger always did; large runs call
 :meth:`Ledger.configure_segments` to bound resident memory (see
@@ -86,9 +87,8 @@ class Observation:
     machinery routes all twelve constructor stores through
     ``object.__setattr__``, which dominated the drive-phase profile at
     tens of thousands of records per run.  Nothing in the codebase
-    mutates one after construction (segment reload re-interns the
-    channel/session strings in place before the rows are shared), and
-    the cached hash assumes nobody does.
+    mutates one after construction, and the cached hash assumes nobody
+    does.
     """
 
     entity: str
@@ -294,12 +294,12 @@ class Ledger:
         many rows (``None``: never auto-seal -- the default, in which
         case the ledger behaves exactly like the flat single-segment
         ledger).  ``spill=True``: sealed segments immediately spill
-        their rows to JSONL under ``directory``.  When ``directory`` is
-        ``None`` a fresh private temp directory is created lazily; it
-        is unique per ledger *and* per process (``mkdtemp`` plus the
-        pid in the prefix), so parallel harness workers can never
-        collide on spill paths, and it is removed when the ledger is
-        garbage-collected or cleared.
+        their rows to one JSON file each under ``directory``.  When
+        ``directory`` is ``None`` a fresh private temp directory is
+        created lazily; it is unique per ledger *and* per process
+        (``mkdtemp`` plus the pid in the prefix), so parallel harness
+        workers can never collide on spill paths, and it is removed
+        when the ledger is garbage-collected or cleared.
         """
         if rows is not None and rows < 1:
             raise ValueError("segment rows must be >= 1")
@@ -348,12 +348,16 @@ class Ledger:
         empty -- sealing nothing is a no-op).  Contents are unchanged,
         so the :attr:`version` does not move.  When the spill policy is
         armed the sealed segment's rows go to disk immediately, after
-        the seal listeners have seen them.
+        the seal listeners have seen them.  The fresh active segment
+        opens first, so a spill that raises (disk full, directory
+        gone) leaves the ledger recording; the sealed segment then
+        stays resident until :meth:`spill_sealed_segments` succeeds.
         """
         segment = self._segments[-1]
         if segment.count == 0:
             return None
         segment.seal()
+        self._segments.append(LedgerSegment(len(self._segments), self._total))
         self._sealed_count += 1
         for listener in self._seal_listeners:
             listener(self, segment)
@@ -363,12 +367,11 @@ class Ledger:
             _BATCH.note_segment(sealed=1)
         if self._auto_spill:
             self._spill_segment(segment)
-        self._segments.append(LedgerSegment(len(self._segments), self._total))
         return segment
 
     def _spill_segment(self, segment: LedgerSegment) -> None:
         directory = self._ensure_spill_dir()
-        path = os.path.join(directory, f"segment-{segment.index:05d}.jsonl")
+        path = os.path.join(directory, f"segment-{segment.index:05d}.json")
         dropped = segment.spill(path)
         if dropped:
             self._spilled_count += 1
@@ -668,11 +671,12 @@ class Ledger:
     def rows_between(self, start: int, stop: int) -> Iterator[Observation]:
         """Rows ``[start, stop)`` in record order (streaming catch-up).
 
-        Spilled segments in the range are *streamed* from their JSONL
-        files without becoming resident again -- sequential catch-up
-        scans must not inflate the resident set.  (The streaming
-        analyzer mostly avoids even the file reads by consuming each
-        segment at seal time via :meth:`add_seal_listener`.)
+        Spilled segments in the range are *streamed* from their spill
+        files, one segment at a time, without becoming resident again
+        -- sequential catch-up scans must not inflate the resident
+        set.  (The streaming analyzer mostly avoids even the file reads
+        by consuming each segment at seal time via
+        :meth:`add_seal_listener`.)
         """
         if start >= stop:
             return
@@ -685,20 +689,11 @@ class Ledger:
                 continue
             lo = max(0, start - seg_start)
             hi = min(segment.count, stop - seg_start)
-            if segment.resident:
-                rows = segment.rows
-                if lo == 0 and hi == segment.count:
-                    yield from rows
-                else:
-                    yield from rows[lo:hi]
-            elif lo == 0 and hi == segment.count:
-                yield from segment.stream_rows()
+            rows = segment.rows if segment.resident else segment.read_rows()
+            if lo == 0 and hi == segment.count:
+                yield from rows
             else:
-                for offset, row in enumerate(segment.stream_rows()):
-                    if offset >= hi:
-                        break
-                    if offset >= lo:
-                        yield row
+                yield from rows[lo:hi]
 
     def entities(self) -> Tuple[str, ...]:
         """Entity names in order of first appearance."""
@@ -842,13 +837,19 @@ class Ledger:
 
     def coalition_candidate_names(
         self, organizations: Iterable[str]
-    ) -> Set[str]:
+    ) -> Iterator[str]:
         """Subject names that pass the coalition candidate pre-filter.
 
         The pooled coupling check only needs to visit these: a subject
         for whom the coalition holds no sensitive identity, or neither
         sensitive data nor shares, cannot couple no matter how its
         observations link.
+
+        Names come newest first, by first appearance, lazily.  A
+        subject's rows all lie at or after its first appearance, so a
+        caller that stops at the first coupling subject builds the pool
+        that touches the fewest old (possibly spilled) segments, and
+        the probe order never depends on string hashing.
         """
         orgs = list(organizations)
         data: Set[str] = set()
@@ -860,15 +861,16 @@ class Ledger:
             if names:
                 data |= names
         if not data:
-            return data
+            return iter(())
         identity: Set[str] = set()
         for org in orgs:
             names = self._org_identity.get(org)
             if names:
                 identity |= names
-        if not identity:
-            return identity
-        return identity & data
+        candidates = identity & data
+        if not candidates:
+            return iter(())
+        return (name for name in reversed(self._subjects) if name in candidates)
 
     # ------------------------------------------------------------------
     # Merge / reset

@@ -6,11 +6,11 @@ segment is *active* at any time -- ``record``/``record_fast`` append to
 it and maintain its per-segment buckets.  Sealing a segment freezes it
 (rows and buckets become tuples, cheap to share and impossible to
 mutate by accident); a sealed segment can then be *spilled*: its rows
-are written to disk as JSON Lines (the same row format
-``repro.core.serialize.ledger_to_jsonl`` exports) and the in-memory
-rows and buckets are dropped.  A spilled segment reloads transparently
-the first time a query needs its rows, and stays resident afterwards so
-observation identity is stable for the duration of an analysis pass
+are written to disk as one compact JSON document (see
+:meth:`LedgerSegment.spill`) and the in-memory rows and buckets are
+dropped.  A spilled segment reloads transparently the first time a
+query needs its rows, and stays resident afterwards so observation
+identity is stable for the duration of an analysis pass
 (``docs/SCALE.md`` documents the lifecycle and the memory bounds).
 
 Segments know their global ``start`` offset, so concatenating segment
@@ -23,11 +23,20 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+from .labels import Facet, Kind, Label, Sensitivity
+from .values import ShareInfo, Subject
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .ledger import Observation
 
 __all__ = ["LedgerSegment"]
 
 _intern = sys.intern
+
+#: Fields per row in a spill file's flat ``rows`` array.
+_ROW_FIELDS = 12
 
 
 class LedgerSegment:
@@ -36,7 +45,7 @@ class LedgerSegment:
     Lifecycle: *active* (mutable lists, appended to by the ledger's
     record paths) -> *sealed* (immutable: rows and every bucket frozen
     to tuples) -> optionally *spilled* (rows and buckets dropped;
-    ``spill_path`` holds the JSONL file they reload from).
+    ``spill_path`` holds the JSON document they reload from).
     """
 
     __slots__ = (
@@ -112,35 +121,89 @@ class LedgerSegment:
     # -- spill / reload ------------------------------------------------
 
     def spill(self, path: str) -> int:
-        """Write rows to ``path`` as JSONL and drop the in-memory copy.
+        """Write rows to ``path`` and drop the in-memory copy.
+
+        The file is one JSON document: ``labels``, the segment's
+        distinct labels as ``[kind, sensitivity, facet, partial]``, and
+        ``rows``, one flat array holding each observation's fields in
+        order, twelve per row::
+
+            entity, organization, subject, label_index, value_digest,
+            description, time, channel, session, provenance,
+            share_info, packet_id
+
+        where ``share_info`` is ``null`` or ``[group, index, total]``.
+        Only the ledger that wrote a spill file reads it back, so the
+        layout carries no version; the public row export is
+        :func:`repro.core.serialize.ledger_to_jsonl`.
 
         Only sealed segments spill (the active segment is still being
         appended to).  Returns the number of rows written.  Idempotent:
         a segment that already spilled just drops its resident copy
-        again without rewriting the file.
+        again without rewriting the file.  If writing fails, the
+        partial file is removed, the error propagates, and the segment
+        keeps its rows.
         """
         if not self.sealed:
             raise ValueError("only sealed segments can be spilled")
         if self.rows is None:
             return 0
         if self.spill_path is None:
-            # Imported lazily: serialize imports the ledger module,
-            # which imports this one at its top.
-            from .serialize import observation_to_dict
-
-            dumps = json.dumps
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for observation in self.rows:
-                    handle.write(
-                        dumps(
-                            observation_to_dict(observation),
-                            ensure_ascii=False,
-                            sort_keys=True,
-                        )
+            label_index: Dict[Label, int] = {}
+            # One flat list rather than a container per row: the rows
+            # of a whole segment are alive until the one ``dumps``
+            # call, and that many new containers would run the cyclic
+            # garbage collector in the middle of every spill
+            # (docs/PERFORMANCE.md, "Segment spill").
+            fields: list = []
+            extend = fields.extend
+            for observation in self.rows:
+                label = observation.label
+                index = label_index.get(label)
+                if index is None:
+                    index = label_index[label] = len(label_index)
+                share = observation.share_info
+                extend(
+                    (
+                        observation.entity,
+                        observation.organization,
+                        observation.subject.name,
+                        index,
+                        observation.value_digest,
+                        observation.description,
+                        observation.time,
+                        observation.channel,
+                        observation.session,
+                        observation.provenance,
+                        None
+                        if share is None
+                        else (share.group, share.index, share.total),
+                        observation.packet_id,
                     )
-                    handle.write("\n")
-            os.replace(tmp, path)
+                )
+            labels = [
+                [
+                    label.kind.value,
+                    label.sensitivity.value,
+                    label.facet.value,
+                    label.partial,
+                ]
+                for label in label_index
+            ]
+            text = json.dumps(
+                {"labels": labels, "rows": fields}, separators=(",", ":")
+            )
+            tmp = f"{path}.tmp.{os.getpid()}"
+            try:
+                with open(tmp, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
             self.spill_path = path
         dropped = self.count
         # The key summaries retain dict keys that the ledger's global
@@ -163,32 +226,77 @@ class LedgerSegment:
         self.by_org_subject = None
         return dropped
 
+    def read_rows(self) -> List[Observation]:
+        """Decode the spill file into fresh observations, in row order.
+
+        The file is parsed once.  Rows share one :class:`Label` per
+        distinct label and one :class:`Subject` per distinct name, and
+        channel and session strings are re-interned, so decoded rows
+        share them the way ``record_fast`` did.  The decoded rows are
+        value-equal to the originals but are not installed: the segment
+        stays spilled, so sequential scans (``Ledger.rows_between``)
+        never inflate the resident set the way :meth:`load` would.
+        """
+        if self.spill_path is None:
+            raise ValueError(f"segment {self.index} has no spill file to load")
+        # Imported lazily: the ledger module imports this one at its top.
+        from .ledger import Observation
+
+        with open(self.spill_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        labels = [
+            Label(Kind(kind), Sensitivity(sensitivity), Facet(facet), partial)
+            for kind, sensitivity, facet, partial in document["labels"]
+        ]
+        subjects: Dict[str, Subject] = {}
+        rows = []
+        fields = iter(document["rows"])
+        for (
+            entity,
+            organization,
+            name,
+            label_index,
+            value_digest,
+            description,
+            time,
+            channel,
+            session,
+            provenance,
+            share,
+            packet_id,
+        ) in zip(*(fields,) * _ROW_FIELDS):
+            subject = subjects.get(name)
+            if subject is None:
+                subject = subjects[name] = Subject(name)
+            rows.append(
+                Observation(
+                    entity,
+                    organization,
+                    subject,
+                    labels[label_index],
+                    value_digest,
+                    description,
+                    time,
+                    _intern(channel),
+                    _intern(session),
+                    tuple(provenance),
+                    None if share is None else ShareInfo(*share),
+                    packet_id,
+                )
+            )
+        return rows
+
     def load(self) -> None:
         """Reload a spilled segment's rows and rebuild its buckets.
 
         The rebuilt rows are value-equal (and serialize byte-identical)
-        to the originals; channel and session strings are re-interned
-        so reloaded segments share them the way ``record_fast`` did.
-        The segment stays resident until the owning ledger explicitly
-        spills it again, which keeps observation identity stable across
-        one analysis pass.
+        to the originals.  The segment stays resident until the owning
+        ledger explicitly spills it again, which keeps observation
+        identity stable across one analysis pass.
         """
         if self.rows is not None:
             return
-        if self.spill_path is None:
-            raise ValueError(f"segment {self.index} has no spill file to load")
-        from .serialize import observation_from_dict
-
-        loads = json.loads
-        rows = []
-        with open(self.spill_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                observation = observation_from_dict(loads(line))
-                observation.channel = _intern(observation.channel)
-                observation.session = _intern(observation.session)
-                rows.append(observation)
+        rows = self.read_rows()
         self.sealed = False
         self.keys = None
         self.rows = []
@@ -201,32 +309,6 @@ class LedgerSegment:
         for observation in rows:
             self.fold(observation)
         self.seal()
-
-    def stream_rows(self):
-        """Yield the segment's rows without changing residency.
-
-        Resident segments yield their in-memory rows; spilled segments
-        parse their JSONL file row by row and *stay spilled* -- the
-        parsed observations are value-equal to the originals but are
-        not installed, so sequential scans (``Ledger.rows_between``)
-        never inflate the resident set the way ``load`` would.
-        """
-        if self.rows is not None:
-            yield from self.rows
-            return
-        if self.spill_path is None:
-            raise ValueError(f"segment {self.index} has no spill file to load")
-        from .serialize import observation_from_dict
-
-        loads = json.loads
-        with open(self.spill_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                observation = observation_from_dict(loads(line))
-                observation.channel = _intern(observation.channel)
-                observation.session = _intern(observation.session)
-                yield observation
 
     def discard_spill(self) -> None:
         """Delete the spill file, if any (ledger clear/teardown)."""

@@ -131,7 +131,6 @@ class ShareInfo:
     group: str
     index: int
     total: int
-    reconstructed_label_sensitive: bool = True
 
 
 @dataclass(slots=True)

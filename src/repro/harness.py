@@ -1072,6 +1072,11 @@ class ScalePoint:
     checkpoint's streaming ``verdict()`` (and collusion resistance)
     rendered byte-identical to a fresh full-scan analyzer over the
     same ledger version.
+
+    The point measures *ledger ingest*: arrivals are recorded straight
+    into the ledger, with no network or crypto.  ``ingest_seconds``
+    (and so ``observations_per_second``) excludes the checkpoints,
+    whose time is ``verify_seconds``.
     """
 
     users: int

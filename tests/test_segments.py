@@ -1,17 +1,32 @@
 """Segment lifecycle: seal, spill, reload, stream, account, clear."""
 
 import os
+import shutil
+import sys
 
 import pytest
 
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
-from repro.core.labels import NONSENSITIVE_DATA, SENSITIVE_IDENTITY
+from repro.core.labels import (
+    NONSENSITIVE_DATA,
+    NONSENSITIVE_HUMAN_IDENTITY,
+    NONSENSITIVE_IDENTITY,
+    NONSENSITIVE_NETWORK_IDENTITY,
+    PARTIAL_SENSITIVE_DATA,
+    SENSITIVE_DATA,
+    SENSITIVE_HUMAN_IDENTITY,
+    SENSITIVE_IDENTITY,
+    SENSITIVE_NETWORK_IDENTITY,
+)
 from repro.core.ledger import Ledger
-from repro.core.values import LabeledValue, Subject, digest
+from repro.core.serialize import ledger_to_jsonl, observation_to_dict
+from repro.core.values import LabeledValue, ShareInfo, Subject, digest
+from repro.scenario import all_specs, run_scenario
 
 ALICE = Subject("alice")
 BOB = Subject("bob")
+ALL_SPEC_IDS = sorted(spec.id for spec in all_specs())
 
 
 def _fill(ledger: Ledger, rows: int, *, entity="Server", org="org-s") -> None:
@@ -99,6 +114,45 @@ class TestSealAndSpill:
         assert [obs.value_digest for obs in ledger] == [
             digest(f"v{i}") for i in range(10)
         ]
+
+    def test_failed_spill_leaves_ledger_recording(self, tmp_path):
+        """Regression: a spill that raised used to leave the sealed
+        segment as the active one, so every later record failed with
+        ``AttributeError`` on its frozen rows."""
+        directory = tmp_path / "spill"
+        ledger = Ledger()
+        ledger.configure_segments(rows=2, spill=True, directory=str(directory))
+        _fill(ledger, 1)
+        shutil.rmtree(directory)
+        with pytest.raises(OSError):
+            ledger.record(
+                "Server",
+                "org-s",
+                LabeledValue("v1", NONSENSITIVE_DATA, BOB, "blob"),
+            )
+        _fill(ledger, 1)
+        assert [seg.count for seg in ledger.segments] == [2, 1]
+        failed = ledger.segments[0]
+        assert failed.sealed and failed.resident and failed.spill_path is None
+        directory.mkdir()
+        assert ledger.spill_sealed_segments() == 2
+        assert not failed.resident
+        assert [obs.value_digest for obs in ledger] == [
+            digest(f"v{i}") for i in [0, 1, 0]
+        ]
+
+    def test_failed_spill_removes_its_temp_file(self, tmp_path):
+        ledger = Ledger()
+        ledger.configure_segments(rows=2, spill=True, directory=str(tmp_path))
+        # A directory where the spill file goes makes the final rename
+        # fail after the temp file was written.
+        (tmp_path / "segment-00000.json").mkdir()
+        with pytest.raises(OSError):
+            _fill(ledger, 2)
+        assert sorted(os.listdir(tmp_path)) == ["segment-00000.json"]
+        assert ledger.segments[0].resident
+        _fill(ledger, 1)
+        assert len(ledger) == 3
 
     def test_key_summaries_avoid_reloads_for_absent_keys(self, tmp_path):
         ledger = Ledger()
@@ -251,3 +305,117 @@ def test_analyzer_over_spilled_ledger_matches_naive(tmp_path):
     streaming = DecouplingAnalyzer(world)
     naive = DecouplingAnalyzer(world, naive=True)
     assert str(streaming.verdict()) == str(naive.verdict())
+
+
+def _assert_spill_round_trip(original: Ledger, directory) -> None:
+    """Spill every row of ``original`` in 3-row segments, then read them
+    back by streaming and by reloading: nothing may change."""
+    rows = list(original)
+    ledger = Ledger()
+    ledger.configure_segments(rows=3, spill=True, directory=str(directory))
+    ledger.ingest(rows)
+    ledger.seal_active_segment()
+    sealed = [seg for seg in ledger.segments if seg.count]
+    assert sealed and not any(seg.resident for seg in sealed)
+
+    streamed = list(ledger.rows_between(0, len(ledger)))
+    window = list(ledger.rows_between(1, len(ledger) - 1))
+    assert ledger.memory_accounting()["segment_reloads"] == 0
+    reloaded = list(ledger)
+    assert ledger.memory_accounting()["segment_reloads"] == len(sealed)
+
+    for decoded in (streamed, reloaded):
+        assert decoded == rows
+        assert [observation_to_dict(obs) for obs in decoded] == [
+            observation_to_dict(obs) for obs in rows
+        ]
+        for obs in decoded:
+            assert obs.channel is sys.intern(obs.channel)
+            assert obs.session is sys.intern(obs.session)
+    assert window == rows[1:-1]
+    assert ledger_to_jsonl(ledger) == ledger_to_jsonl(original)
+
+
+@pytest.mark.parametrize("scenario_id", ALL_SPEC_IDS)
+def test_spill_round_trip_loses_nothing_on_every_spec(scenario_id, tmp_path):
+    _assert_spill_round_trip(run_scenario(scenario_id).world.ledger, tmp_path)
+
+
+def test_spill_round_trip_loses_nothing_on_rare_fields(tmp_path):
+    """Rows no spec records: every identity facet, a partial data
+    label, non-ASCII text, provenance, packet ids and shares."""
+    ledger = Ledger()
+    labels = [
+        SENSITIVE_IDENTITY,
+        NONSENSITIVE_IDENTITY,
+        SENSITIVE_HUMAN_IDENTITY,
+        NONSENSITIVE_HUMAN_IDENTITY,
+        SENSITIVE_NETWORK_IDENTITY,
+        NONSENSITIVE_NETWORK_IDENTITY,
+        SENSITIVE_DATA,
+        PARTIAL_SENSITIVE_DATA,
+        NONSENSITIVE_DATA,
+    ]
+    for index, label in enumerate(labels):
+        ledger.record(
+            "Résolveur ▲",
+            "org-ü",
+            LabeledValue(
+                f"payload-{index}",
+                label,
+                Subject(f"subjekt-{index % 2}-ß"),
+                f"déscription ● {index} \u2603 \U0001f512",
+                provenance=("qname", "hpke-seal")[: index % 3],
+                share_info=(
+                    ShareInfo(f"gruppe-{index}", index % 2, 2)
+                    if index % 4 == 0
+                    else None
+                ),
+            ),
+            time=0.125 * index,
+            channel=f"wire-{index % 2}",
+            session=f"pkt:{index}",
+            packet_id=index if index % 3 else None,
+        )
+    _assert_spill_round_trip(ledger, tmp_path)
+
+
+def test_coalition_candidates_are_probed_newest_first(tmp_path):
+    """The coalition check probes candidate subjects newest first, by
+    first appearance, so it finds a coupling subject in the resident
+    tail of the ledger instead of reloading whichever spilled segment
+    string-hash order happened to pick."""
+    world = World()
+    world.entity("User", "device", trusted_by_user=True)
+    world.entity("Proxy", "org-p")
+    world.entity("Target", "org-t")
+    ledger = world.ledger
+    ledger.configure_segments(rows=8, spill=True, directory=str(tmp_path))
+    names = [f"user-{index}" for index in range(21)]
+    for index, name in enumerate(names):
+        subject = Subject(name)
+        ledger.record_fast(
+            "Proxy",
+            "org-p",
+            [
+                LabeledValue(f"ip-{index}", SENSITIVE_IDENTITY, subject, "addr"),
+                LabeledValue(f"ct-{index}", NONSENSITIVE_DATA, subject, "query"),
+            ],
+            session=f"px-{index}",
+        )
+        ledger.record_fast(
+            "Target",
+            "org-t",
+            [
+                LabeledValue(f"ct-{index}", NONSENSITIVE_DATA, subject, "query"),
+                LabeledValue(f"q-{index}", SENSITIVE_DATA, subject, "query"),
+            ],
+            session=f"tg-{index}",
+        )
+    coalition = frozenset({"org-p", "org-t"})
+    assert list(ledger.coalition_candidate_names(coalition)) == names[::-1]
+    assert list(ledger.coalition_candidate_names({"org-p"})) == []
+    # Every subject but the newest lives in a spilled segment.
+    assert ledger.memory_accounting()["resident_rows"] == 4
+    assert DecouplingAnalyzer(world).coalition_couples(coalition)
+    assert ledger.memory_accounting()["segment_reloads"] == 0
