@@ -15,7 +15,7 @@ Unlinkability is information-theoretic: for *any* (blinded message,
 final signature) pair there exists exactly one blinding factor
 connecting them, so the signer's view is independent of which final
 signature corresponds to which session.  A property test in
-``tests/test_crypto_blind.py`` checks exactly this.
+``tests/test_crypto_rsa_blind.py`` checks exactly this.
 """
 
 from __future__ import annotations

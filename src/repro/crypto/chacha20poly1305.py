@@ -5,7 +5,7 @@ implementation follows RFC 8439 exactly: the ChaCha20 block function
 (section 2.3), counter-mode encryption (2.4), the Poly1305 MAC (2.5),
 the one-time-key derivation (2.6), and the AEAD construction (2.8).
 Verified against the RFC's test vectors in
-``tests/test_crypto_chacha.py``.
+``tests/test_crypto_symmetric.py``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The extract-and-expand key derivation function used by HPKE and the
 simulated TLS handshake.  Verified against the RFC 5869 test vectors in
-``tests/test_crypto_hkdf.py``.
+``tests/test_crypto_symmetric.py``.
 """
 
 from __future__ import annotations

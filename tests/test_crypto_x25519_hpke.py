@@ -1,4 +1,9 @@
-"""RFC 7748 vectors for X25519 and behaviour tests for HPKE."""
+"""RFC 7748 vectors for X25519; behaviour and interop tests for HPKE.
+
+The interop records were sealed by an independent implementation and
+run without it; the live two-way test needs the ``cryptography``
+package and skips without it.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +55,31 @@ class TestX25519Rfc7748:
         assert x25519(scalar, u).hex() == (
             "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"
         )
+
+    def test_scalar_mult_vector_2(self):
+        scalar = bytes.fromhex(
+            "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"
+        )
+        u = bytes.fromhex(
+            "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493"
+        )
+        assert x25519(scalar, u).hex() == (
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"
+        )
+
+    @pytest.mark.parametrize(
+        "iterations, expected",
+        [
+            (1, "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079"),
+            (1000, "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"),
+        ],
+    )
+    def test_iterated(self, iterations, expected):
+        # RFC 7748 section 5.2: k = u = 9, then k, u = x25519(k, u), k.
+        k = u = X25519_BASEPOINT
+        for _ in range(iterations):
+            k, u = x25519(k, u), k
+        assert k.hex() == expected
 
     def test_high_bit_of_u_is_masked(self):
         u_with_high_bit = bytes(31) + b"\x80"
@@ -138,3 +168,72 @@ class TestHpke:
         keypair = HpkeKeyPair.generate(b"\x09" * 32)
         enc, ciphertext = seal(keypair.public_bytes, plaintext)
         assert open_sealed(enc, ciphertext, keypair) == plaintext
+
+
+# Base-mode records sealed by an independent HPKE implementation, the
+# ``cryptography`` package (48.0.0, OpenSSL), generated once with:
+#
+#     from cryptography.hazmat.primitives import hpke
+#     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+#     suite = hpke.Suite(hpke.KEM.X25519, hpke.KDF.HKDF_SHA256, hpke.AEAD.CHACHA20_POLY1305)
+#     public = X25519PrivateKey.from_private_bytes(INTEROP_SKR).public_key()
+#     sealed = suite.encrypt(plaintext, public, info=info)
+#     enc, ciphertext = sealed[:32], sealed[32:]
+INTEROP_SKR = bytes.fromhex(
+    "6323bbc01ebe258df4eb1b89b635eca0514060f27d01f57403f636ac65f5a0a8"
+)
+INTEROP_RECORDS = [
+    # (plaintext, info, enc, ciphertext)
+    (
+        b"",
+        b"",
+        "69392a0455457a3da3b805cb9ed379712a15e73b7c49416d28f2ecb3ab1ea450",
+        "6fcb378e20f23a82d011be3624d11ca6",
+    ),
+    (
+        # 84 bytes: the ChaCha20 keystream crosses a 64-byte block.
+        b"The proxy relays bytes it cannot read; "
+        b"the target reads a query it cannot attribute.",
+        b"",
+        "ccb53b255d5f97098ec89337d71d1628b39105846322893e48a75c4b25e16166",
+        "067512655c69f47647a00d5d370af2f301325a3cf5499da731d2877a6237aa88"
+        "b19808fcadaef73c312e8991e261924eb395247ff8e12e28c02bc6bc48c9ea92"
+        "fa55379336e3e222c351cd55cd15499f0f42b1f4058a55a43eea3720e0585aaf"
+        "3c41116f",
+    ),
+    (
+        b"example.com. IN A",
+        b"odoh query",
+        "cf348123c23d59f4cb63f4408a6c4e363ea65353242e4de2a2441129cbd2a525",
+        "b8e50bcd34744c47d93630b01886ae8923776f4c671f1c81c2733a435b5f2aadf5",
+    ),
+]
+
+
+class TestHpkeInterop:
+    @pytest.mark.parametrize("plaintext, info, enc, ciphertext", INTEROP_RECORDS)
+    def test_opens_independent_records(self, plaintext, info, enc, ciphertext):
+        keypair = HpkeKeyPair.generate(INTEROP_SKR)
+        opened = open_sealed(
+            bytes.fromhex(enc), bytes.fromhex(ciphertext), keypair, info
+        )
+        assert opened == plaintext
+
+    @pytest.mark.parametrize("plaintext, info", [r[:2] for r in INTEROP_RECORDS])
+    def test_live_two_way(self, plaintext, info):
+        hpke = pytest.importorskip("cryptography.hazmat.primitives.hpke")
+        openssl_x25519 = pytest.importorskip(
+            "cryptography.hazmat.primitives.asymmetric.x25519"
+        )
+        suite = hpke.Suite(
+            hpke.KEM.X25519, hpke.KDF.HKDF_SHA256, hpke.AEAD.CHACHA20_POLY1305
+        )
+        private = openssl_x25519.X25519PrivateKey.from_private_bytes(INTEROP_SKR)
+        keypair = HpkeKeyPair.generate(INTEROP_SKR)
+        assert private.public_key().public_bytes_raw() == keypair.public_bytes
+
+        sealed = suite.encrypt(plaintext, private.public_key(), info=info)
+        assert open_sealed(sealed[:32], sealed[32:], keypair, info) == plaintext
+
+        enc, ciphertext = seal(keypair.public_bytes, plaintext, info=info)
+        assert suite.decrypt(enc + ciphertext, private, info=info) == plaintext
