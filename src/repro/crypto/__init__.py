@@ -14,7 +14,8 @@ speed matters.
 
 from .blind import BlindingState, BlindSigner, blind, sign_blinded, unblind
 from .chacha20poly1305 import ChaCha20Poly1305, chacha20_block, chacha20_encrypt, poly1305_mac
-from .group import GROUP_256, GROUP_512, GROUP_768, SchnorrGroup, default_group
+from . import group
+from .group import SchnorrGroup, default_group
 from .hashutil import (
     constant_time_equal,
     expand_message_xmd,
@@ -107,3 +108,10 @@ __all__ = [
     "CELL_SIZE", "pad_to_cell", "unpad_from_cell", "padded_length",
     "bucket_pad_length",
 ]
+
+
+def __getattr__(name: str) -> SchnorrGroup:
+    # The fixed groups are built on first use (see repro.crypto.group).
+    if name in ("GROUP_256", "GROUP_512", "GROUP_768"):
+        return getattr(group, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,13 +14,21 @@ benchmarks uses identical groups::
     import random
     rng = random.Random(20221114)
     [random_safe_prime(bits, rng) for bits in (256, 512, 768)]
+
+``GROUP_256``, ``GROUP_512`` and ``GROUP_768`` are built and checked on
+first use, not at import (a PEP 562 module ``__getattr__``).  Each is
+made by the ``SchnorrGroup`` constructor, so p and q pass the same
+primality checks as any other group, and the one instance is kept for
+the process, so its generator table is built once.  A process that
+never uses a group never pays for its checks.
 """
 
 from __future__ import annotations
 
 import random as _random
+import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from .hashutil import expand_message_xmd, os2ip
 from .numtheory import is_probable_prime, modinv, random_below
@@ -164,11 +172,35 @@ class SchnorrGroup:
         return x
 
 
-GROUP_256 = SchnorrGroup(_P256, name="schnorr-256")
-GROUP_512 = SchnorrGroup(_P512, name="schnorr-512")
-GROUP_768 = SchnorrGroup(_P768, name="schnorr-768")
+#: Module attribute -> (safe prime, group name) of the fixed groups.
+_FIXED_GROUPS = {
+    "GROUP_256": (_P256, "schnorr-256"),
+    "GROUP_512": (_P512, "schnorr-512"),
+    "GROUP_768": (_P768, "schnorr-768"),
+}
+
+
+#: The fixed groups built so far: one instance each per process, so
+#: identity holds across access paths and each generator table is
+#: built once.  The lock keeps two threads from building two.
+_built: Dict[str, SchnorrGroup] = {}
+_build_lock = threading.Lock()
+
+
+def _fixed_group(attribute: str) -> SchnorrGroup:
+    with _build_lock:
+        if attribute not in _built:
+            p, name = _FIXED_GROUPS[attribute]
+            _built[attribute] = SchnorrGroup(p, name=name)
+        return _built[attribute]
+
+
+def __getattr__(attribute: str) -> SchnorrGroup:
+    if attribute in _FIXED_GROUPS:
+        return _fixed_group(attribute)
+    raise AttributeError(f"module {__name__!r} has no attribute {attribute!r}")
 
 
 def default_group() -> SchnorrGroup:
     """The group used by the system models (fast yet structurally real)."""
-    return GROUP_256
+    return _fixed_group("GROUP_256")

@@ -253,10 +253,14 @@ class MixnetProgram(ScenarioProgram):
             )
 
     def settle(self) -> None:
+        # Flush partial batches until every mix is empty: a partial
+        # batch can reach mix k+1 after that mix flushed.  Routes are
+        # finite and chaff goes only to the receiver, so this ends.
         self.network.run()
-        for node in self.mix_nodes:  # deliver any partial final batch
-            node.flush()
-        self.network.run()
+        while any(node.pending for node in self.mix_nodes):
+            for node in self.mix_nodes:
+                node.flush()
+            self.network.run()
 
     def analyze(self) -> MixnetRun:
         entity_order = (

@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.group import GROUP_256, GROUP_512, SchnorrGroup, default_group
+from repro.crypto.group import (
+    GROUP_256,
+    GROUP_512,
+    GROUP_768,
+    SchnorrGroup,
+    default_group,
+)
+from repro.crypto.numtheory import is_probable_prime
 from repro.crypto.voprf import (
     DleqProof,
     VoprfServer,
@@ -17,7 +24,12 @@ from repro.crypto.voprf import (
 
 class TestSchnorrGroup:
     def test_fixed_groups_are_valid(self):
-        for group in (GROUP_256, GROUP_512):
+        # The seed of the generation script in the module docstring.
+        for group in (GROUP_256, GROUP_512, GROUP_768):
+            q = (group.p - 1) // 2
+            assert is_probable_prime(group.p, rng=random.Random(20221114))
+            assert is_probable_prime(q, rng=random.Random(20221114))
+            assert group.order == q
             assert group.is_element(group.generator)
             assert group.exp(group.generator, group.order) == 1
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.labels import SENSITIVE_DATA
+from repro.faults import FaultPlan
 from repro.mixnet import paper_table_t2, run_mixnet
+from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,53 @@ class TestDelivery:
         for mix in run.mixes:
             assert mix.messages_mixed == 4
             assert mix.pending == 0
+
+
+class TestSettleDrains:
+    """``settle`` flushes until no mix holds a message.
+
+    A partial batch that reaches mix k+1 after that mix flushed used to
+    stay there: each case below stranded messages before the fix.
+    """
+
+    @staticmethod
+    def assert_drained(run):
+        network = run.network
+        assert [mix.pending for mix in run.mixes] == [0] * len(run.mixes)
+        assert network.packets_in_flight == 0
+        assert (
+            network.packets_sent + network.packets_duplicated
+            == network.messages_delivered + network.packets_dropped
+        )
+
+    def test_lossy_run_reaches_the_receiver(self):
+        # Stranded 891 messages in mix 2 and delivered none.
+        run = run_scenario(
+            "mixnet", senders=1000, faults=FaultPlan.uniform_loss(0.05, seed=1)
+        )
+        self.assert_drained(run)
+        assert run.network.messages_delivered == 3471
+        assert len(run.receiver.received) == 795
+
+    def test_late_partial_batch_is_delivered(self):
+        # Stranded 2 of 10 in mix 2.
+        run = run_scenario("mixnet", senders=10, batch_size=4)
+        self.assert_drained(run)
+        assert len(run.receiver.received) == 10
+
+    def test_free_route_pool_delivers_every_message(self):
+        # Delivered 0 of 20, so the receiver never held the data.
+        run = run_scenario("mixnet", mix_pool=5, senders=20)
+        self.assert_drained(run)
+        assert len(run.receiver.received) == 20
+        assert run.table().as_mapping()["Receiver"] == "(△, ●)"
+
+    def test_chaff_does_not_keep_settle_running(self):
+        # Stranded 2 of 10 in mix 2.
+        run = run_scenario("mixnet", senders=10, batch_size=4, chaff_per_flush=2)
+        self.assert_drained(run)
+        assert len(run.receiver.received) == 10
+        assert run.receiver.chaff_dropped == run.mixes[-1].chaff_sent
 
 
 class TestCollusion:
