@@ -1,31 +1,15 @@
 """Drive-phase benchmark family: the simulation hot path.
 
-Not a paper artifact: PR 2 made the *analyze* phase fast (see
-``bench_perf_core.py``); these benchmarks watch the *drive* phase --
-per-packet object churn in ``net/sim.py`` / ``net/network.py`` and the
-``Entity.observe -> Ledger.record_fast`` chain -- which now dominates
-T-series wall clock.
+Not a paper artifact: ``bench_perf_core.py`` watches the *analyze*
+phase; these benchmarks watch the *drive* phase -- per-packet work in
+``net/sim.py`` / ``net/network.py`` and the
+``Entity.observe -> Ledger.record_fast`` chain.
 
 Three scenario families (mixnet, odns, mpr) at three population sizes
-each.  Every point is measured twice in the same process: once on the
-default fast delivery pipeline and once under the ``REPRO_SLOW_PATH=1``
-reference toggle (``repro.fastpath``), which restores the pre-batching
-code path (per-value ``Ledger.record``, uncached size/digest/hash
-derivations, per-access session strings).  Cross-process comparisons
-are not trustworthy on shared CI machines; the in-process A/B is the
-number to watch.
-
-The ``test_drive_gate_largest_point`` family asserts the >= 5x
-acceptance gate from the drive-path issue on each family's largest
-point.  The measured in-process ratio currently saturates well below
-that (~1.3-2x) because both paths share the per-delivery residual --
-heap scheduling, protocol handlers, onion sealing/unsealing -- that
-batching cannot remove (Amdahl's law on the observe chain; the full
-decomposition lives in docs/PERFORMANCE.md).  The gate tests are
-therefore marked non-strict ``xfail``: they stay red-by-default
-honestly, turn into XPASS the day the residual is engineered away, and
-never block the suite.  The measured ratio is recorded transparently in
-``BENCH_drive.json`` via ``extra_info`` either way.
+each, timed over drive + settle.  The numbers are a trend report, not
+a gate: end-to-end drive throughput with a noise model lives in
+``perfbench`` (``deliveries_per_s`` on ``odns-relay`` and
+``mixnet-lossy``).
 
 Run with JSON output to record the trajectory::
 
@@ -33,19 +17,14 @@ Run with JSON output to record the trajectory::
         --benchmark-json=BENCH_drive.json
 """
 
-import time
-
 import pytest
 
 import repro.harness  # noqa: F401  -- registers the scenario specs
-from repro import fastpath
 from repro.scenario.spec import get_spec
 
-GATE_THRESHOLD = 5.0
-
-# Family -> (population parameter, three sizes).  The largest point of
-# each family is the gate point.  Mixnet payload sizes grow with sender
-# index (superlinear total bytes), so its sweep stays moderate.
+# Family -> (population parameter, three sizes).  Mixnet payload sizes
+# grow with sender index (superlinear total bytes), so its sweep stays
+# moderate.
 FAMILIES = {
     "mixnet": ("senders", (100, 200, 400)),
     "odns": ("queries", (100, 200, 400)),
@@ -61,7 +40,6 @@ POINTS = [
 
 def _fresh_program(scenario, size):
     """A built-but-not-driven scenario program at the given population."""
-    param, _ = FAMILIES[scenario][0], None
     spec = get_spec(scenario)
     program = spec.program(spec, spec.bind({FAMILIES[scenario][0]: size}))
     program.run_phase("build")
@@ -73,92 +51,12 @@ def _drive_and_settle(program):
     program.run_phase("settle")
 
 
-def _best_wall_seconds(scenario, size, slow, repeats=3):
-    """Best-of-N wall clock for drive+settle in the requested mode.
-
-    The mode is set only around the measured run and always restored,
-    so benchmark ordering cannot leak slow mode into other tests.
-    """
-    best = float("inf")
-    for _ in range(repeats):
-        fastpath.set_slow_path(slow)
-        try:
-            program = _fresh_program(scenario, size)
-            start = time.perf_counter()
-            _drive_and_settle(program)
-            elapsed = time.perf_counter() - start
-        finally:
-            fastpath.set_slow_path(False)
-        best = min(best, elapsed)
-    return best
-
-
-_GATE_CACHE = {}
-
-
-def _gate_record(scenario):
-    """Fast-vs-slow A/B at the family's largest point, measured once."""
-    if scenario not in _GATE_CACHE:
-        param, sizes = FAMILIES[scenario]
-        size = sizes[-1]
-        fast_s = _best_wall_seconds(scenario, size, slow=False)
-        slow_s = _best_wall_seconds(scenario, size, slow=True)
-        ratio = slow_s / fast_s if fast_s > 0 else float("inf")
-        _GATE_CACHE[scenario] = {
-            "scenario": scenario,
-            "population": {param: size},
-            "fast_seconds": fast_s,
-            "slow_reference_seconds": slow_s,
-            "ratio": ratio,
-            "threshold": GATE_THRESHOLD,
-            "passed": ratio >= GATE_THRESHOLD,
-        }
-    return _GATE_CACHE[scenario]
-
-
 @pytest.mark.parametrize("scenario,size", POINTS)
-def test_drive_fast(benchmark, scenario, size):
-    """Default fast pipeline at each (family, population) point."""
+def test_drive(benchmark, scenario, size):
+    """Drive + settle at each (family, population) point."""
     benchmark.pedantic(
         _drive_and_settle,
         setup=lambda: ((_fresh_program(scenario, size),), {}),
         rounds=3,
         iterations=1,
-    )
-    if size == FAMILIES[scenario][1][-1]:
-        benchmark.extra_info["drive_gate"] = _gate_record(scenario)
-
-
-@pytest.mark.parametrize("scenario,size", POINTS)
-def test_drive_slow_reference(benchmark, scenario, size):
-    """REPRO_SLOW_PATH reference at the same points (the denominator)."""
-
-    def _setup():
-        fastpath.set_slow_path(True)
-        return (_fresh_program(scenario, size),), {}
-
-    try:
-        benchmark.pedantic(
-            _drive_and_settle, setup=_setup, rounds=3, iterations=1
-        )
-    finally:
-        fastpath.set_slow_path(False)
-
-
-@pytest.mark.parametrize("scenario", sorted(FAMILIES))
-@pytest.mark.xfail(
-    strict=False,
-    reason="in-process drive ratio saturates ~1.3-2x: both paths share "
-    "the per-delivery scenario-handler residual (docs/PERFORMANCE.md, "
-    "'Drive phase'); gate stays asserted so a residual win turns it "
-    "into XPASS",
-)
-def test_drive_gate_largest_point(scenario):
-    """The >= 5x acceptance gate on each family's largest point."""
-    record = _gate_record(scenario)
-    assert record["ratio"] >= GATE_THRESHOLD, (
-        f"{scenario} largest point {record['population']}: fast "
-        f"{record['fast_seconds'] * 1000:.1f}ms vs slow reference "
-        f"{record['slow_reference_seconds'] * 1000:.1f}ms = "
-        f"{record['ratio']:.2f}x < {GATE_THRESHOLD}x"
     )

@@ -1,24 +1,23 @@
 """Observability overhead benchmark family: the cost of each obs tier.
 
-Not a paper artifact: PR 8 made observability *compose* with the drive
-fast path instead of disabling it (``repro.obs.runtime`` tiers).  These
-benchmarks measure what each tier costs over a dark (``off``) run of
-the same scenario, per lifecycle phase, in the same process --
-cross-process comparisons are not trustworthy on shared CI machines.
+Not a paper artifact: observability is tiered (``repro.obs.runtime``),
+and every tier runs the one delivery pipeline.  These benchmarks
+measure what each tier costs over a dark (``off``) run of the same
+scenario, per lifecycle phase, in the same process -- cross-process
+comparisons are not trustworthy on shared CI machines.
 
-Two scenario families at the ``bench_drive`` gate populations, four
+Two scenario families at the largest ``bench_drive`` populations, four
 modes each.  Every mode runs the full ``build -> drive -> settle ->
 analyze`` lifecycle under ``obs.capture(mode=...)`` exactly as the
 ``repro profile`` command does; per-phase wall times land in
 ``extra_info`` so ``BENCH_obs_overhead.json`` records the full
 decomposition, and the acceptance gates from the observability issue
-are asserted on the drive+settle slice (the part the fast path owns):
+are asserted on the drive+settle slice (the drive pipeline's part):
 
-* ``counters`` must stay within 10% of ``off`` (the batched
-  ``MetricsBatch`` accumulator keeps slotted delivery), and
+* ``counters`` must stay within 10% of ``off`` (deliveries fold into
+  the batched ``MetricsBatch`` accumulator), and
 * ``sampled`` at the default 1% rate must stay within 25% of ``off``
-  (only the sampler's chosen packets detour through the traced
-  pipeline).
+  (only the sampler's chosen packets run span code).
 
 ``full`` mode is measured and recorded too -- it is the expensive
 reference, not a gated tier.  Gate measurements are median-of-9 with
@@ -138,7 +137,7 @@ def _best_phase_times(scenario, mode):
 
 
 def _hot_seconds(times):
-    """Drive+settle: the slice the fast path (and the gates) own."""
+    """Drive+settle: the slice the delivery pipeline (and the gates) own."""
     return times["drive"] + times["settle"]
 
 

@@ -627,7 +627,6 @@ def _run_profile(
             manifest = None
             span_dicts = [obs_export.span_to_dict(s) for s in tracer.spans]
             spans_recorded = len(tracer.spans)
-        network = getattr(program, "network", None)
         document = {
             "scenario": name,
             "obs_mode": mode,
@@ -638,9 +637,6 @@ def _run_profile(
             "messages": registry.counter_value("net.messages"),
             "bytes": registry.counter_value("net.bytes"),
             "observations": registry.counter_value("ledger.observations"),
-            "fast_deliveries": (
-                network.fast_deliveries if network is not None else 0
-            ),
             "spans": spans_recorded,
             "trace_digest": _trace_digest(span_dicts),
         }
@@ -674,7 +670,6 @@ def _run_profile(
         f" messages={document['messages']}"
         f" bytes={document['bytes']}"
         f" observations={document['observations']}"
-        f" fast_deliveries={document['fast_deliveries']}"
         f" spans={document['spans']}",
         file=out,
     )

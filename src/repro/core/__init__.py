@@ -33,7 +33,7 @@ from .labels import (
     SENSITIVE_NETWORK_IDENTITY,
     Sensitivity,
 )
-from .values import Aggregate, LabeledValue, Sealed, ShareInfo, Subject, digest, walk_values
+from .values import Aggregate, LabeledValue, Sealed, ShareInfo, Subject, digest
 from .ledger import Ledger, Observation
 from .entities import Entity, Organization, World
 from .tuples import KnowledgeCell, KnowledgeTable, cell_from_labels
@@ -76,7 +76,6 @@ __all__ = [
     "ShareInfo",
     "Subject",
     "digest",
-    "walk_values",
     # ledger / entities
     "Ledger",
     "Observation",

@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Set, Tuple
 
-from repro import fastpath as _fastpath
-
 from .ledger import Ledger, Observation
-from .values import LabeledValue, Sealed, collect_values, walk_values
+from .values import LabeledValue, Sealed, collect_values
 
 __all__ = ["Organization", "Entity", "World"]
 
@@ -110,25 +108,8 @@ class Entity:
 
         The walk-and-record happens through the batched
         :meth:`~repro.core.ledger.Ledger.record_fast` seam (one index
-        fold, one version bump per call); ``REPRO_SLOW_PATH=1``
-        restores the original value-at-a-time loop, which must produce
-        identical ledger contents.
+        fold, one version bump per call).
         """
-        if _fastpath.SLOW_PATH:
-            recorded = []
-            for value in walk_values(item, self.keyring):
-                recorded.append(
-                    self.ledger.record(
-                        self.name,
-                        self.organization.name,
-                        value,
-                        time=time,
-                        channel=channel,
-                        session=session,
-                        packet_id=packet_id,
-                    )
-                )
-            return recorded
         return self.ledger.record_fast(
             self.name,
             self.organization.name,
@@ -141,7 +122,7 @@ class Entity:
 
     def visible_values(self, item: Any) -> List[LabeledValue]:
         """What this entity *would* see in ``item``, without recording."""
-        return list(walk_values(item, self.keyring))
+        return collect_values(item, self.keyring)
 
     def unseal(self, sealed: Sealed) -> tuple:
         """Open an envelope this entity holds the key for.

@@ -52,14 +52,13 @@ from typing import (
     Tuple,
 )
 
-from repro import fastpath as _fastpath
 from repro.obs import runtime as _obs
 from repro.obs.metrics import BATCH as _BATCH
 from repro.obs.metrics import get_registry as _get_registry
 
 from .labels import Facet, Kind, Label
 from .segments import LedgerSegment
-from .values import LabeledValue, ShareInfo, Subject, digest, digest_of
+from .values import LabeledValue, ShareInfo, Subject, digest_of
 
 __all__ = ["Observation", "Ledger"]
 
@@ -260,7 +259,7 @@ class Ledger:
         does *not* promise ``version == len(observations)`` -- analyzer
         memo keys are ``(ledger, version)`` equality checks, so one
         bump per batch invalidates them just as correctly as one bump
-        per row (``tests/test_drive_fastpath.py`` pins this).  Sealing
+        per row (``tests/test_drive.py`` pins this).  Sealing
         or spilling a segment does not bump the version: contents are
         unchanged.
         """
@@ -482,34 +481,15 @@ class Ledger:
         ``packet_id`` stamps the wire packet whose delivery caused the
         observation, if any; the provenance graph joins on it.
         """
-        observation = Observation(
-            entity=entity,
-            organization=organization,
-            subject=value.subject,
-            label=value.label,
-            value_digest=digest(value.payload),
-            description=value.description,
+        (observation,) = self.record_fast(
+            entity,
+            organization,
+            [value],
             time=time,
             channel=channel,
             session=session,
-            provenance=value.provenance,
-            share_info=value.share_info,
             packet_id=packet_id,
         )
-        if _fastpath.SLOW_PATH:
-            # The slow reference preserves the original per-record cost
-            # profile, where the observation hash was computed eagerly
-            # at construction time rather than lazily on first use.
-            hash(observation)
-        self._append(observation)
-        self._version += 1
-        if _obs.ENABLED:
-            registry = _get_registry()
-            registry.counter("ledger.observations").inc()
-            registry.counter(f"ledger.observations.{channel}").inc()
-        elif _obs.COUNTERS:
-            _BATCH.note_observations(channel, 1)
-        self._maybe_roll_segment()
         return observation
 
     def record_fast(
@@ -525,7 +505,6 @@ class Ledger:
     ) -> List[Observation]:
         """Batch-append one interaction's pre-walked values.
 
-        The drive-phase counterpart of :meth:`record`:
         :meth:`Entity.observe <repro.core.entities.Entity.observe>`
         walks an item once with
         :func:`~repro.core.values.collect_values` and folds the whole
@@ -635,8 +614,8 @@ class Ledger:
             registry.counter("ledger.observations").inc(len(recorded))
             registry.counter(f"ledger.observations.{channel}").inc(len(recorded))
         elif _obs.COUNTERS:
-            # Batched tiers stay on the fast path: one slotted
-            # accumulator update per batch, folded at capture exit.
+            # Batched tiers: one slotted accumulator update per batch,
+            # folded at capture exit.
             _BATCH.note_observations(channel, len(recorded))
         self._maybe_roll_segment()
         return recorded

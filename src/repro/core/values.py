@@ -20,9 +20,7 @@ import dataclasses
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Tuple
-
-from repro import fastpath as _fastpath
+from typing import Any, Iterable, Optional, Tuple
 
 from .labels import (
     Kind,
@@ -37,7 +35,6 @@ __all__ = [
     "LabeledValue",
     "Sealed",
     "Aggregate",
-    "walk_values",
     "collect_values",
     "digest",
     "digest_of",
@@ -52,7 +49,7 @@ def digest(value: Any) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-# Digest memo for the drive-phase fast path.  Workloads repeat scalar
+# Digest memo for the drive phase.  Workloads repeat scalar
 # payloads heavily (every mixnet sender's exterior is the same
 # "ciphertext<key>" string; every hop re-observes it), so hashing each
 # repeat is pure waste.  Keyed by ``(type, value)`` -- not value alone
@@ -104,13 +101,11 @@ class Subject:
     def __post_init__(self) -> None:
         # Subjects key every per-subject ledger index, so one record
         # hashes a subject several times; the hash is precomputed per
-        # (immutable) instance.  The slow reference recomputes the
-        # field-tuple hash per call, as the generated method always did.
+        # (immutable) instance -- the generated field-tuple hash, so set
+        # and dict order stays what the dataclass default gave.
         object.__setattr__(self, "_hash", hash((self.name,)))
 
     def __hash__(self) -> int:
-        if _fastpath.SLOW_PATH:
-            return hash((self.name,))
         return self._hash  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
@@ -266,10 +261,7 @@ class Sealed:
         items = tuple(contents)
         if subject is None:
             subject = _first_subject(items)
-        if _fastpath.SLOW_PATH:
-            source = next(walk_values(items, frozenset()), None)
-        else:
-            source = _first_value(items)
+        source = _first_value(items)
         prior = source.provenance if source is not None else ()
         exterior = LabeledValue(
             payload=f"ciphertext<{key_id}>",
@@ -335,11 +327,10 @@ def _first_value(item: Any) -> Optional[LabeledValue]:
     """First labeled value an empty keyring would see, in walk order.
 
     :meth:`Sealed.wrap` only needs the *first* value of
-    ``walk_values(items, frozenset())`` to seed the exterior's
-    provenance; spinning up the full generator machinery per envelope
-    (every onion layer, every HPKE seal) showed up in drive-phase
-    profiles.  With an empty keyring no envelope opens, so a sealed
-    child contributes exactly its exterior.
+    ``collect_values(items, frozenset())`` to seed the exterior's
+    provenance, so it stops there instead of walking every onion
+    layer.  With an empty keyring no envelope opens, so a sealed child
+    contributes exactly its exterior.
     """
     cls = item.__class__
     if cls is LabeledValue:
@@ -383,48 +374,6 @@ def _first_value(item: Any) -> Optional[LabeledValue]:
     return None
 
 
-def walk_values(
-    item: Any, keyring: frozenset[str] | set[str]
-) -> Iterator[LabeledValue]:
-    """Yield every labeled value visible to a holder of ``keyring``.
-
-    Walks arbitrarily nested tuples/lists/dicts, opening
-    :class:`Sealed` envelopes whose ``key_id`` is in ``keyring`` and
-    yielding only the exterior of those that are not.  This function is
-    the single place where "who can see what" is decided; entities call
-    it from :meth:`~repro.core.entities.Entity.observe`.
-    """
-    if isinstance(item, LabeledValue):
-        yield item
-    elif isinstance(item, Sealed):
-        if item.key_id in keyring:
-            # A key holder sees the ciphertext too: the exterior is
-            # yielded alongside the contents.  This is what lets the
-            # linkage analysis connect an envelope observed in transit
-            # by one entity with its decryption at another.
-            if item.exterior is not None:
-                yield item.exterior
-            for inner in item.contents:
-                yield from walk_values(inner, keyring)
-        elif item.exterior is not None:
-            yield item.exterior
-    elif isinstance(item, Aggregate):
-        yield from item.exterior_values()
-    elif isinstance(item, dict):
-        for child in item.values():
-            yield from walk_values(child, keyring)
-    elif isinstance(item, (tuple, list, set, frozenset)):
-        for child in item:
-            yield from walk_values(child, keyring)
-    elif dataclasses.is_dataclass(item) and not isinstance(item, type):
-        # Protocol messages are dataclasses; walk their fields so the
-        # labels they embed (a query's qname, a request's target) are
-        # observed without each message type teaching the walker.
-        for f in dataclasses.fields(item):
-            yield from walk_values(getattr(item, f.name), keyring)
-    # Bare payloads (str/int/bytes/None) carry no labeled information.
-
-
 # Per-message-type field-name cache for collect_values: the slow
 # ``dataclasses.fields`` call resolves the same tuple for every packet
 # of a given protocol, so resolve it once per type.
@@ -434,13 +383,25 @@ _FIELD_NAMES: dict = {}
 def collect_values(
     item: Any, keyring: frozenset[str] | set[str]
 ) -> list[LabeledValue]:
-    """Eager :func:`walk_values` for the drive-phase hot path.
+    """Every labeled value visible to a holder of ``keyring``, in order.
 
-    Same traversal, same visibility rule, same order -- but appends to
-    a list instead of resuming a generator per value, and caches each
-    message dataclass's field names per type.  The equivalence
-    ``collect_values(x, k) == list(walk_values(x, k))`` is pinned by a
-    property test in ``tests/test_drive_fastpath.py``.
+    Walks arbitrarily nested tuples/lists/dicts, opening
+    :class:`Sealed` envelopes whose ``key_id`` is in ``keyring`` and
+    taking only the exterior of those that are not.  This function is
+    the single place where "who can see what" is decided; entities call
+    it from :meth:`~repro.core.entities.Entity.observe`.
+
+    A key holder sees the ciphertext too: an opened envelope yields its
+    exterior ahead of its contents.  This is what lets the linkage
+    analysis connect an envelope observed in transit by one entity
+    with its decryption at another.  Protocol messages are
+    dataclasses; their fields are walked (field names cached per type)
+    so the labels they embed are observed without each message type
+    teaching the walker.  Bare payloads (str/int/bytes/None) carry no
+    labeled information.
+
+    ``tests/values_reference.py`` keeps the original generator walk;
+    a property test in ``tests/test_drive.py`` pins the two equal.
     """
     if item.__class__ is LabeledValue:
         return [item]  # the single-value case (e.g. a packet header)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro import fastpath as _fastpath
-
 __all__ = ["Address", "AddressAllocator"]
 
 
@@ -23,22 +21,18 @@ class Address:
     Addresses are allocated once at build time and then hashed on
     every send (host lookup, latency lookup) and prefix-matched on
     every delivery, so both are precomputed here rather than derived
-    per call.  Under ``REPRO_SLOW_PATH=1`` both revert to the per-call
-    derivations (the generated field-tuple hash, the split/join) that
-    every lookup paid before the caches existed.
+    per call.
     """
 
     value: str
 
     def __post_init__(self) -> None:
-        # Same value the slow path recomputes per call: the hash must
-        # not depend on which mode first touched the instance.
+        # The generated field-tuple hash, computed once: set and dict
+        # order stays what the dataclass default gave.
         object.__setattr__(self, "_hash", hash((self.value,)))
         object.__setattr__(self, "_prefix", ".".join(self.value.split(".")[:3]))
 
     def __hash__(self) -> int:
-        if _fastpath.SLOW_PATH:
-            return hash((self.value,))
         return self._hash  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
@@ -47,8 +41,6 @@ class Address:
     @property
     def prefix(self) -> str:
         """The /24-style network prefix (first three octets)."""
-        if _fastpath.SLOW_PATH:
-            return ".".join(self.value.split(".")[:3])
         return self._prefix  # type: ignore[attr-defined]
 
 

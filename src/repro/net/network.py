@@ -20,10 +20,8 @@ consistent.
 from __future__ import annotations
 
 import itertools
-import random as _random
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import fastpath as _fastpath
 from repro.core.entities import Entity
 from repro.obs import runtime as _obs
 from repro.obs.metrics import BATCH as _BATCH
@@ -45,42 +43,39 @@ _DELIVERY_POOL_LIMIT = 1024
 
 
 class _Delivery:
-    """A slotted, reusable delivery event.
+    """A slotted, reusable delivery event: one per packet copy.
 
-    The fast path schedules one of these per packet instead of a
-    ``lambda: self._deliver(packet)`` closure: the arguments live in
-    slots rather than captured cells, and after firing the event
-    returns to the owning network's free list to be re-armed by the
-    next ``send`` -- steady-state scheduling allocates no closures.
-
-    Preconditions are re-checked at *fire* time, not just send time:
-    if a fault injector was installed (or observability enabled) while
-    the packet was on the wire, delivery falls back to the fully
-    instrumented ``_deliver`` so ``on_deliver`` crash/partition checks
-    and span ceremony are never skipped.
+    ``send`` schedules one of these per copy instead of a closure: the
+    arguments live in slots rather than captured cells, and after
+    firing the event returns to the owning network's free list to be
+    re-armed by the next ``send`` -- steady-state scheduling allocates
+    no closures.  ``origin`` is the span active at send time and
+    ``traced`` the sampler's send-time decision (``None`` when the
+    copy decides when it fires).
     """
 
-    __slots__ = ("network", "packet")
+    __slots__ = ("network", "packet", "origin", "traced")
 
-    def __init__(self, network: "Network", packet: Optional[Packet]) -> None:
+    def __init__(
+        self,
+        network: "Network",
+        packet: Optional[Packet],
+        origin: Any,
+        traced: Optional[bool],
+    ) -> None:
         self.network = network
         self.packet = packet
+        self.origin = origin
+        self.traced = traced
 
     def __call__(self) -> None:
         network = self.network
-        packet = self.packet
-        self.packet = None
+        packet, origin, traced = self.packet, self.origin, self.traced
+        self.packet = self.origin = None
         pool = network._delivery_pool
         if len(pool) < _DELIVERY_POOL_LIMIT:
             pool.append(self)
-        if (
-            network._fault_injector is None
-            and not _obs.ENABLED
-            and not _fastpath.SLOW_PATH
-        ):
-            network._deliver_fast(packet)
-        else:
-            network._deliver(packet)
+        network._deliver(packet, origin, traced)
 
 
 class TransactTimeout(RuntimeError):
@@ -121,9 +116,6 @@ class SimHost:
             raise ValueError(f"{self.name} already handles {protocol!r}")
         self._handlers[protocol] = handler
 
-    def handler_for(self, protocol: str) -> Optional[Handler]:
-        return self._handlers.get(protocol)
-
     def send(
         self,
         dst: Address,
@@ -155,7 +147,7 @@ class SimHost:
 class WireObserver:
     """A passive tap: an entity that sees wire metadata and exteriors.
 
-    ``watches`` restricts the tap to packets whose source or
+    ``prefixes`` restricts the tap to packets whose source or
     destination prefix matches (a tap inside one operator's network);
     by default the tap is global.
     """
@@ -168,11 +160,6 @@ class WireObserver:
         self.entity = entity
         self.prefixes = prefixes
         self.trace = TrafficTrace()
-
-    def watches(self, packet: Packet) -> bool:
-        if self.prefixes is None:
-            return True
-        return packet.src.prefix in self.prefixes or packet.dst.prefix in self.prefixes
 
     def notice(self, packet: Packet, time: float) -> None:
         self.trace.record(
@@ -209,18 +196,9 @@ class Network:
         self,
         simulator: Optional[Simulator] = None,
         default_latency: float = 0.010,
-        loss_rate: float = 0.0,
-        loss_rng: Optional[_random.Random] = None,
     ) -> None:
-        """``loss_rate`` (0..1) drops that fraction of packets for
-        failure-injection experiments; losses use ``loss_rng`` so runs
-        stay reproducible."""
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
         self.simulator = simulator if simulator is not None else Simulator()
         self.default_latency = default_latency
-        self.loss_rate = loss_rate
-        self._loss_rng = loss_rng if loss_rng is not None else _random.Random()
         self.packets_dropped = 0
         self.allocator = AddressAllocator()
         self.trace = TrafficTrace()
@@ -228,17 +206,17 @@ class Network:
         self._latencies: Dict[frozenset, float] = {}
         self._observers: List[WireObserver] = []
         self._responses: Dict[int, Any] = {}
-        # Fast-path caches.  ``_observer_cache`` pre-resolves the
-        # observer list per (src-prefix, dst-prefix) pair;
-        # ``_latency_cache`` keys the per-pair latency by the ordered
-        # address tuple (no frozenset allocation per send).  Both are
-        # pure memoizations, invalidated on topology mutation.
+        # ``_observer_cache`` pre-resolves the observer list per
+        # (src-prefix, dst-prefix) pair; ``_latency_cache`` keys the
+        # per-pair latency by the ordered address tuple (no frozenset
+        # allocation per send).  Both are pure memoizations,
+        # invalidated on topology mutation.
         self._observer_cache: Dict[Tuple[str, str], Tuple["WireObserver", ...]] = {}
         self._latency_cache: Dict[Tuple[Address, Address], float] = {}
         self._delivery_pool: List[_Delivery] = []
-        #: Deliveries that went through the batched fast pipeline --
-        #: zero whenever observability or a fault injector is active
-        #: (asserted by tests/test_drive_fastpath.py).
+        #: Delivery events fired, dropped-on-arrival ones included.  Kept
+        #: for benchmark tooling, which reads it and cross-checks it
+        #: against the delivery events it sees scheduled.
         self.fast_deliveries = 0
         # Per-network id counters: two identical runs on two Network
         # instances assign identical packet/request ids, which keeps
@@ -300,9 +278,7 @@ class Network:
         self._latency_cache.clear()
 
     def latency(self, a: Address, b: Address) -> float:
-        return self._latencies.get(frozenset((a, b)), self.default_latency)
-
-    def _latency_fast(self, a: Address, b: Address) -> float:
+        """The one-way latency from ``a`` to ``b`` (memoized)."""
         key = (a, b)
         cached = self._latency_cache.get(key)
         if cached is None:
@@ -317,11 +293,7 @@ class Network:
     def _observers_for(
         self, src_prefix: str, dst_prefix: str
     ) -> Tuple[WireObserver, ...]:
-        """The observers watching this prefix pair (memoized).
-
-        Exactly the observers for which ``watches(packet)`` is true --
-        ``watches`` depends only on the two prefixes.
-        """
+        """The observers watching this prefix pair (memoized)."""
         key = (src_prefix, dst_prefix)
         observers = self._observer_cache.get(key)
         if observers is None:
@@ -366,7 +338,6 @@ class Network:
         observations from its packets stay linkable at the receiver --
         a TLS session, a cellular attach procedure.
         """
-        simulator = self.simulator
         packet = Packet(
             src=src_host.address,
             dst=dst,
@@ -377,41 +348,23 @@ class Network:
             sender_identity=src_host.identity,
             request_id=request_id,
             response_to=response_to,
-            sent_at=simulator.now,
+            sent_at=self.simulator.now,
             flow=flow,
         )
         self.packets_sent += 1
-        if self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate:
-            self._count_dropped()
-            return packet  # lost in transit: never delivered
+        delay = self.latency(src_host.address, dst)
         injector = self._fault_injector
-        if injector is None and not _obs.ENABLED and not _fastpath.SLOW_PATH:
+        if injector is None and not _obs.ENABLED:
+            # Exactly one copy: the sampler (``sampled`` tier only)
+            # decides here, once per packet, and a traced copy keeps
+            # the span active now as its causal parent.
             sampler = _obs.SAMPLER
             if sampler is not None and sampler.decide("deliver"):
-                # Sampled tier, head decision says trace: schedule an
-                # explicitly traced delivery, capturing the span active
-                # now so the causal parent survives the flight.
-                origin = get_tracer().current_span()
-                self.packets_in_flight += 1
-                simulator.schedule(
-                    self._latency_fast(src_host.address, dst),
-                    lambda: self._deliver(packet, origin, True),
-                )
-                return packet
-            # Fast path: exactly one copy, no injector consult, no
-            # span capture -- schedule a pooled slotted event instead
-            # of a closure.
-            self.packets_in_flight += 1
-            pool = self._delivery_pool
-            if pool:
-                event = pool.pop()
-                event.packet = packet
+                self._schedule(delay, packet, get_tracer().current_span(), True)
             else:
-                event = _Delivery(self, packet)
-            simulator.schedule(self._latency_fast(src_host.address, dst), event)
+                self._schedule(delay, packet, None, False)
             return packet
-        delay = self.latency(src_host.address, dst)
-        delays = [delay]
+        delays = (delay,)
         if injector is not None:
             impaired = injector.on_send(packet, delay)
             if impaired is not None:
@@ -420,22 +373,29 @@ class Network:
                     return packet  # injected loss / crash / partition
                 delays = impaired
                 self.packets_duplicated += len(delays) - 1
-        if _obs.TRACING:
-            # Capture the span active *now* so the delivery -- which
-            # fires later, outside any ``with`` block -- still links
-            # causally to whatever sent it.  In ``sampled`` mode the
-            # trace decision itself is made at fire time (per copy).
-            origin = get_tracer().current_span()
-            for copy_delay in delays:
-                self.packets_in_flight += 1
-                self.simulator.schedule(
-                    copy_delay, lambda: self._deliver(packet, origin)
-                )
-        else:
-            for copy_delay in delays:
-                self.packets_in_flight += 1
-                self.simulator.schedule(copy_delay, lambda: self._deliver(packet))
+        # Each copy decides whether to trace when it fires.  Capture the
+        # span active *now* so a traced delivery -- which fires later,
+        # outside any ``with`` block -- still links causally to
+        # whatever sent it.
+        origin = get_tracer().current_span() if _obs.TRACING else None
+        for copy_delay in delays:
+            self._schedule(copy_delay, packet, origin, None)
         return packet
+
+    def _schedule(
+        self, delay: float, packet: Packet, origin: Any, traced: Optional[bool]
+    ) -> None:
+        """Put one copy of ``packet`` on the wire as a pooled event."""
+        self.packets_in_flight += 1
+        pool = self._delivery_pool
+        if pool:
+            event = pool.pop()
+            event.packet = packet
+            event.origin = origin
+            event.traced = traced
+        else:
+            event = _Delivery(self, packet, origin, traced)
+        self.simulator.schedule(delay, event)
 
     def _count_dropped(self) -> None:
         self.packets_dropped += 1
@@ -444,29 +404,37 @@ class Network:
         elif _obs.COUNTERS:
             _BATCH.dropped += 1
 
-    def _deliver(self, packet: Packet, origin_span=None, traced=None) -> None:
+    def _deliver(self, packet: Packet, origin: Any, traced: Optional[bool]) -> None:
+        """Fire one delivery event.
+
+        The fault check and the ``full``-mode check happen at *fire*
+        time, so an injector installed -- or ``full`` tracing enabled
+        -- while the packet was on the wire still applies to it.
+        """
         self.packets_in_flight -= 1
-        if self._fault_injector is not None and not self._fault_injector.on_deliver(
-            packet
-        ):
+        self.fast_deliveries += 1
+        injector = self._fault_injector
+        if injector is not None and not injector.on_deliver(packet):
             # The destination crashed (or the link partitioned) while
             # this packet was on the wire.
             self._count_dropped()
             return
-        if traced is None:
-            if _obs.ENABLED:
-                traced = True
-            else:
-                sampler = _obs.SAMPLER
-                traced = sampler is not None and sampler.decide("deliver")
-        if not traced:
-            if _obs.COUNTERS:
-                now = self.simulator.now
-                _BATCH.note_delivery(
-                    packet.size,
-                    now - packet.sent_at if packet.sent_at is not None else None,
-                )
-            return self._deliver_inner(packet)
+        if _obs.ENABLED:
+            traced = True
+        elif traced is None:
+            sampler = _obs.SAMPLER
+            traced = sampler is not None and sampler.decide("deliver")
+        if traced:
+            self._arrive_traced(packet, origin)
+            return
+        if _obs.COUNTERS:
+            # Batched tiers: one slotted accumulator update instead of
+            # per-value registry writes.
+            _BATCH.note_delivery(packet.size, self.simulator.now - packet.sent_at)
+        self._arrive(packet)
+
+    def _arrive_traced(self, packet: Packet, origin_span: Any) -> None:
+        """:meth:`_arrive` inside a ``deliver`` span."""
         tracer = get_tracer()
         now = self.simulator.now
         if _obs.ENABLED:
@@ -476,17 +444,13 @@ class Network:
             registry.histogram("net.packet_bytes", SIZE_BUCKETS).observe(
                 packet.size
             )
-            if packet.sent_at is not None:
-                registry.histogram("net.hop_latency", LATENCY_BUCKETS).observe(
-                    now - packet.sent_at
-                )
+            registry.histogram("net.hop_latency", LATENCY_BUCKETS).observe(
+                now - packet.sent_at
+            )
         else:
             # Sampled tier: the traced subset still accounts through
             # the batch so metric totals cover *every* delivery.
-            _BATCH.note_delivery(
-                packet.size,
-                now - packet.sent_at if packet.sent_at is not None else None,
-            )
+            _BATCH.note_delivery(packet.size, now - packet.sent_at)
         # A delivery whose origin lies outside the network layer (a
         # one-way ``send`` from protocol or scenario code) gets a
         # synthetic ``transact`` wrapper so every delivery span sits
@@ -499,7 +463,7 @@ class Network:
             wrapper = tracer.span(
                 "transact",
                 kind="net",
-                sim_time=packet.sent_at if packet.sent_at is not None else now,
+                sim_time=packet.sent_at,
                 parent=parent,
                 protocol=packet.protocol,
                 one_way=True,
@@ -509,7 +473,7 @@ class Network:
         span = tracer.span(
             "deliver",
             kind="net",
-            sim_time=packet.sent_at if packet.sent_at is not None else now,
+            sim_time=packet.sent_at,
             parent=parent,
             src=str(packet.src),
             dst=str(packet.dst),
@@ -519,38 +483,16 @@ class Network:
         )
         try:
             with span:
-                self._deliver_inner(packet)
+                self._arrive(packet)
                 span.end_sim(self.simulator.now)
         finally:
             if wrapper is not None:
                 wrapper.end_sim(self.simulator.now)
                 wrapper.__exit__(None, None, None)
 
-    def _deliver_fast(self, packet: Packet) -> None:
-        """The batched delivery pipeline.
-
-        Taken only when full observability is off (the ``off`` /
-        ``counters`` tiers, and the unsampled remainder of ``sampled``),
-        no fault injector is installed, and ``REPRO_SLOW_PATH`` is
-        unset; semantically identical to ``_deliver`` +
-        ``_deliver_inner`` under those preconditions (the differential
-        goldens in tests/test_drive_fastpath.py pin byte-identical
-        artifacts).  Differences are purely mechanical: one merged
-        frame, memoized observer lists, batched ledger appends via
-        ``Entity.observe``'s fast route, and -- in the batched obs
-        tiers -- one slotted accumulator update instead of per-value
-        registry writes.
-        """
-        self.packets_in_flight -= 1
-        self.fast_deliveries += 1
+    def _arrive(self, packet: Packet) -> None:
+        """The arrival body: the four delivery steps of the module doc."""
         now = self.simulator.now
-        if _obs.COUNTERS:
-            # ``counters`` / ``sampled`` tiers: stay on the fast path,
-            # fold the delivery into the slotted batch accumulator.
-            _BATCH.note_delivery(
-                packet.size,
-                now - packet.sent_at if packet.sent_at is not None else None,
-            )
         self.trace.record(
             PacketRecord(
                 time=now,
@@ -594,60 +536,6 @@ class Network:
             self._responses[packet.response_to] = packet.payload
             return
         handler = host._handlers.get(packet.protocol)
-        if handler is None:
-            raise KeyError(
-                f"host {host.name} has no handler for {packet.protocol!r}"
-            )
-        result = handler(packet)
-        if result is not None and packet.request_id is not None:
-            self.send(
-                host,
-                packet.src,
-                result,
-                packet.protocol,
-                response_to=packet.request_id,
-                flow=packet.flow,
-            )
-
-    def _deliver_inner(self, packet: Packet) -> None:
-        now = self.simulator.now
-        self.trace.record(
-            PacketRecord(
-                time=now,
-                src=packet.src,
-                dst=packet.dst,
-                size=packet.size,
-                protocol=packet.protocol,
-                packet_id=packet.packet_id,
-            )
-        )
-        for observer in self._observers:
-            if observer.watches(packet):
-                observer.notice(packet, now)
-        host = self.host_at(packet.dst)
-        if packet.sender_identity is not None:
-            host.entity.observe(
-                packet.sender_identity,
-                time=now,
-                channel="network-header",
-                session=packet.session,
-                packet_id=packet.packet_id,
-            )
-        host.entity.observe(
-            packet.payload,
-            time=now,
-            channel=packet.protocol,
-            session=packet.session,
-            packet_id=packet.packet_id,
-        )
-        self.messages_delivered += 1
-        self.bytes_delivered += packet.size
-        self.delivered.append(packet)
-
-        if packet.is_response:
-            self._responses[packet.response_to] = packet.payload
-            return
-        handler = host.handler_for(packet.protocol)
         if handler is None:
             raise KeyError(
                 f"host {host.name} has no handler for {packet.protocol!r}"

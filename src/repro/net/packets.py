@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro import fastpath as _fastpath
 from repro.core.values import Aggregate, LabeledValue, Sealed
 
 from .addressing import Address
@@ -32,60 +31,22 @@ def estimate_size(payload: Any) -> int:
 
     Sizes of :class:`Sealed` and :class:`LabeledValue` instances are
     memoized on the instance (both are immutable), so an onion that is
-    forwarded through five hops is walked once, not five times.  Under
-    ``REPRO_SLOW_PATH=1`` the uncached recursion runs instead.
+    forwarded through five hops is walked once, not five times.
     """
-    if _fastpath.SLOW_PATH:
-        return _estimate_size_uncached(payload)
-    return _estimate_size_cached(payload)
-
-
-def _estimate_size_uncached(payload: Any) -> int:
-    if payload is None:
-        return 0
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        return max(1, (payload.bit_length() + 7) // 8)
-    if isinstance(payload, float):
-        return 8
-    if isinstance(payload, LabeledValue):
-        return _estimate_size_uncached(payload.payload)
-    if isinstance(payload, Sealed):
-        return _SEALED_OVERHEAD + sum(
-            _estimate_size_uncached(c) for c in payload.contents
-        )
-    if isinstance(payload, Aggregate):
-        return 8 * max(1, len(payload.contributors))
-    if isinstance(payload, dict):
-        return sum(
-            _estimate_size_uncached(k) + _estimate_size_uncached(v)
-            for k, v in payload.items()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(_estimate_size_uncached(item) for item in payload)
-    return _DEFAULT_ITEM_SIZE
-
-
-def _estimate_size_cached(payload: Any) -> int:
     # Exact-class checks first: payload trees are built from these
     # concrete classes and ``cls is X`` beats the isinstance ladder.
     cls = payload.__class__
     if cls is LabeledValue:
         size = payload._size_cache
         if size is None:
-            size = _estimate_size_cached(payload.payload)
+            size = estimate_size(payload.payload)
             payload._size_cache = size
         return size
     if cls is Sealed:
         size = payload._size_cache
         if size is None:
             size = _SEALED_OVERHEAD + sum(
-                _estimate_size_cached(c) for c in payload.contents
+                estimate_size(c) for c in payload.contents
             )
             payload._size_cache = size
         return size
@@ -94,7 +55,7 @@ def _estimate_size_cached(payload: Any) -> int:
     if cls is bytes:
         return len(payload)
     if cls is tuple or cls is list:
-        return sum(_estimate_size_cached(item) for item in payload)
+        return sum(estimate_size(item) for item in payload)
     if payload is None:
         return 0
     if isinstance(payload, (bytes, bytearray)):
@@ -110,14 +71,14 @@ def _estimate_size_cached(payload: Any) -> int:
     if isinstance(payload, LabeledValue):
         size = payload._size_cache
         if size is None:
-            size = _estimate_size_cached(payload.payload)
+            size = estimate_size(payload.payload)
             payload._size_cache = size
         return size
     if isinstance(payload, Sealed):
         size = payload._size_cache
         if size is None:
             size = _SEALED_OVERHEAD + sum(
-                _estimate_size_cached(c) for c in payload.contents
+                estimate_size(c) for c in payload.contents
             )
             payload._size_cache = size
         return size
@@ -125,11 +86,11 @@ def _estimate_size_cached(payload: Any) -> int:
         return 8 * max(1, len(payload.contributors))
     if isinstance(payload, dict):
         return sum(
-            _estimate_size_cached(k) + _estimate_size_cached(v)
+            estimate_size(k) + estimate_size(v)
             for k, v in payload.items()
         )
     if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(_estimate_size_cached(item) for item in payload)
+        return sum(estimate_size(item) for item in payload)
     return _DEFAULT_ITEM_SIZE
 
 
@@ -163,14 +124,10 @@ class Packet:
     def session(self) -> str:
         """The linkage-session tag observations of this packet carry.
 
-        On the fast path it is computed once and cached: the same
-        string object is handed to every observation of this packet,
-        so downstream dict keys hash an already-seen instance.  Under
-        ``REPRO_SLOW_PATH=1`` the string is rebuilt per access, which
-        is what every access cost before the cache existed.
+        Computed once and cached: the same string object is handed to
+        every observation of this packet, so downstream dict keys hash
+        an already-seen instance.
         """
-        if _fastpath.SLOW_PATH:
-            return self.flow if self.flow is not None else f"pkt:{self.packet_id}"
         session = self._session
         if session is None:
             session = (

@@ -8,12 +8,12 @@ synchronous request/response API on top of one-way message events --
 protocol code reads like straight-line code while timestamps stay
 globally consistent.
 
-Callbacks may be any zero-argument callable.  The drive-phase fast
-path schedules slotted event objects (e.g. the network's ``_Delivery``
-record) instead of per-packet lambda closures: the object carries its
-arguments in slots and is re-armed from a free list, so the steady
-state allocates no closures and no cells.  ``_step`` dispatches both
-forms identically via ``callback()``.
+Callbacks may be any zero-argument callable.  The network schedules
+slotted event objects (its ``_Delivery`` record) instead of
+per-packet lambda closures: the object carries its arguments in slots
+and is re-armed from a free list, so the steady state allocates no
+closures and no cells.  ``_step`` dispatches both forms identically
+via ``callback()``.
 
 Deadline *markers* (:meth:`marker_at`) are events whose only purpose
 is to wake the clock at a given time.  They are cancelable: a canceled

@@ -184,7 +184,7 @@ class MetricsRegistry:
 
 
 class MetricsBatch:
-    """Slotted per-batch accumulators for the fast-path obs tiers.
+    """Slotted per-batch accumulators for the batched obs tiers.
 
     One process-wide instance (:data:`BATCH`) absorbs the per-delivery
     and per-ledger-batch accounting that ``full`` mode would write to

@@ -2,35 +2,32 @@
 
 Instrumentation in the simulator, network, ledger, and harness is
 gated on module attributes that hot paths (``Simulator._step``,
-``Ledger.record_fast``, ``Network._deliver_fast``) read directly --
+``Ledger.record_fast``, ``Network._deliver``) read directly --
 tracing off must cost one attribute check and nothing more.
 
 Since PR 8 the switch is a *mode*, not a boolean.  Four tiers:
 
 ``off``
-    Nothing is recorded.  The drive fast path is taken.
+    Nothing is recorded.
 ``counters``
-    Metrics only.  The drive fast path is **kept**; deliveries and
-    ledger batches fold into the slotted
+    Metrics only.  Deliveries and ledger batches fold into the slotted
     :class:`repro.obs.metrics.MetricsBatch` accumulator, which is
     merged into the :class:`~repro.obs.metrics.MetricsRegistry` once
     per capture (not once per value).  No spans.
 ``sampled``
     Metrics (batched, as in ``counters``) plus a seeded head-based
     span sampler: a deterministic subset of ``transact`` / ``deliver``
-    / ``experiment`` spans is traced while every unsampled delivery
-    keeps the fast path.  Same seed => byte-identical sampled span
-    set.
+    / ``experiment`` spans is traced; the rest record nothing.  Same
+    seed => byte-identical sampled span set.
 ``full``
     The pre-PR 8 behaviour, byte-identical to the old
-    ``obs.capture()``: every span, every per-value metric, fast path
-    off.
+    ``obs.capture()``: every span, every per-value metric.
 
 Three derived booleans are what instrumented code actually checks:
 
-* :data:`ENABLED`  -- full-fidelity instrumentation (``full`` only);
-  the fast-path preconditions test ``not ENABLED``, so ``counters``
-  and ``sampled`` keep batched delivery.
+* :data:`ENABLED`  -- full-fidelity instrumentation (``full`` only):
+  every delivery is traced, and ``counters`` / ``sampled`` keep
+  batched metrics.
 * :data:`COUNTERS` -- some metric recording is active (``counters`` /
   ``sampled`` / ``full``).
 * :data:`TRACING`  -- spans may record (``sampled`` / ``full``).
@@ -162,8 +159,8 @@ ENV_MODE: Optional[str] = _env_mode()
 #: The current tier.
 MODE: str = ENV_MODE or "off"
 
-#: Full-fidelity gate (``full`` only): per-value metrics, every span,
-#: fast path off.  This is the flag the fast-path preconditions test.
+#: Full-fidelity gate (``full`` only): per-value metrics and a span for
+#: every delivery, checked again when each delivery fires.
 ENABLED: bool = MODE == "full"
 
 #: Any metric recording active (``counters`` / ``sampled`` / ``full``).

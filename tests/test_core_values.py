@@ -17,8 +17,8 @@ from repro.core.values import (
     Sealed,
     ShareInfo,
     Subject,
+    collect_values,
     digest,
-    walk_values,
 )
 
 ALICE = Subject("alice")
@@ -94,18 +94,18 @@ class TestSealed:
 class TestWalkValues:
     def test_without_key_only_exterior_is_visible(self):
         envelope = Sealed.wrap("k1", [_value()])
-        seen = list(walk_values(envelope, set()))
+        seen = collect_values(envelope, set())
         assert [v.label for v in seen] == [NONSENSITIVE_DATA]
 
     def test_with_key_exterior_and_interior_are_visible(self):
         envelope = Sealed.wrap("k1", [_value()])
-        labels = {v.label for v in walk_values(envelope, {"k1"})}
+        labels = {v.label for v in collect_values(envelope, {"k1"})}
         assert labels == {NONSENSITIVE_DATA, SENSITIVE_DATA}
 
     def test_nested_envelopes_stop_at_missing_key(self):
         inner = Sealed.wrap("k2", [_value()])
         outer = Sealed.wrap("k1", [inner])
-        seen = list(walk_values(outer, {"k1"}))
+        seen = collect_values(outer, {"k1"})
         # outer exterior + inner exterior, never the secret
         assert all(v.label == NONSENSITIVE_DATA for v in seen)
         assert len(seen) == 2
@@ -113,7 +113,7 @@ class TestWalkValues:
     def test_full_keyring_reaches_the_core(self):
         inner = Sealed.wrap("k2", [_value()])
         outer = Sealed.wrap("k1", [inner])
-        labels = [v.label for v in walk_values(outer, {"k1", "k2"})]
+        labels = [v.label for v in collect_values(outer, {"k1", "k2"})]
         assert SENSITIVE_DATA in labels
 
     def test_walks_containers_and_dataclasses(self):
@@ -123,17 +123,17 @@ class TestWalkValues:
             note: str
 
         item = {"x": [Message(body=_value(), note="n")], "y": (1, 2)}
-        seen = list(walk_values(item, set()))
+        seen = collect_values(item, set())
         assert len(seen) == 1 and seen[0].label == SENSITIVE_DATA
 
     def test_bare_payloads_yield_nothing(self):
-        assert list(walk_values("string", set())) == []
-        assert list(walk_values(42, set())) == []
-        assert list(walk_values(None, set())) == []
+        assert collect_values("string", set()) == []
+        assert collect_values(42, set()) == []
+        assert collect_values(None, set()) == []
 
     def test_aggregate_yields_one_nonsensitive_item_per_contributor(self):
         agg = Aggregate(payload=17, contributors=(ALICE, Subject("bob")))
-        seen = list(walk_values(agg, set()))
+        seen = collect_values(agg, set())
         assert len(seen) == 2
         assert all(v.label == NONSENSITIVE_DATA for v in seen)
         assert {v.subject for v in seen} == {ALICE, Subject("bob")}
@@ -162,7 +162,7 @@ class TestShareInfo:
             subject=ALICE,
             share_info=ShareInfo(group="g", index=0, total=2),
         )
-        (seen,) = walk_values(share, set())
+        (seen,) = collect_values(share, set())
         assert seen.share_info.group == "g"
 
 

@@ -2,9 +2,8 @@
 
 PR 8 turned observability from a boolean into four tiers and replaced
 the unbounded ``Tracer.spans`` list with an optional streaming sink.
-These tests pin the new machinery itself (the differential evidence
-that the tiers keep the drive fast path lives in
-``test_drive_fastpath.py``):
+These tests pin the new machinery itself (how the tiers meet the drive
+pipeline is pinned in ``test_drive.py``):
 
 * ``StreamingWriter`` -- segmented JSONL with bounded peak memory and
   an optional last-N ring;

@@ -116,10 +116,11 @@ class TestDeliveryInvariants:
     def test_lossy_networks_never_duplicate(self, loss, seed):
         """delivered + dropped == sent, always."""
         world = World()
-        network = Network(loss_rate=loss, loss_rng=random.Random(seed))
+        network = Network()
         a = network.add_host("a", world.entity("A", "a-org"))
         b = network.add_host("b", world.entity("B", "b-org"))
         b.register("p", lambda pkt: None)
+        FaultRuntime(FaultPlan.uniform_loss(loss, seed=seed), network).install()
         sent = 25
         for index in range(sent):
             a.send(b.address, index, "p")
