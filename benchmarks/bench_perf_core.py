@@ -6,12 +6,12 @@ observation ledgers must stay interactive.
 
 Two families:
 
-* indexed-vs-naive on the 3,200-observation ``_big_world`` ledger (the
-  acceptance gate for the indexed analyzer is a >= 10x speedup over the
-  full-scan reference);
-* a size sweep (~1k / 10k / 100k observations) over the indexed path
-  only -- the naive path is quadratic-ish and would take minutes at
-  100k.
+* the analyzer against the full-scan test oracle
+  (``tests/analyzer_reference.py``) on the 3,200-observation
+  ``_big_world`` ledger (the acceptance gate for the indexed analyzer
+  is a >= 10x speedup over the full scan);
+* a size sweep (~1k / 10k / 100k observations) over the analyzer only
+  -- the full scan is quadratic-ish and would take minutes at 100k.
 
 Run with JSON output to record the trajectory::
 
@@ -20,6 +20,8 @@ Run with JSON output to record the trajectory::
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,9 @@ from repro.core.labels import (
     SENSITIVE_IDENTITY,
 )
 from repro.core.values import LabeledValue, Subject
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from analyzer_reference import ReferenceAnalyzer  # noqa: E402
 
 
 def _big_world(subjects=40, entities=8, observations_per_pair=10, seed=7):
@@ -77,14 +82,14 @@ def _cached_world(**kwargs):
     return _WORLD_CACHE[key]
 
 
-def _verdict_and_breach(world, naive=False):
+def _verdict_and_breach(world, analyzer_class=DecouplingAnalyzer):
     """The acceptance-gate workload, on a fresh (cold-memo) analyzer.
 
     A new analyzer per round keeps the measurement honest: the memoized
-    path must win by recomputing faster, not by answering from a warm
-    cache built in an earlier round.
+    analyzer must win by recomputing faster, not by answering from a
+    warm cache built in an earlier round.
     """
-    analyzer = DecouplingAnalyzer(world, naive=naive)
+    analyzer = analyzer_class(world)
     return analyzer.verdict(), analyzer.breach_reports()
 
 
@@ -119,19 +124,18 @@ def test_perf_verdict_breach_indexed(benchmark):
     assert verdict is not None and len(reports) == 8
 
 
-def test_perf_verdict_breach_naive(benchmark):
-    """Full-scan reference on the same ledger (the >= 10x denominator)."""
+def test_perf_verdict_breach_reference(benchmark):
+    """Full-scan test oracle on the same ledger (the >= 10x denominator)."""
     world = _cached_world()
     verdict, reports = benchmark.pedantic(
-        _verdict_and_breach, args=(world,), kwargs={"naive": True},
-        rounds=3, iterations=1,
+        _verdict_and_breach, args=(world, ReferenceAnalyzer), rounds=3, iterations=1
     )
     assert verdict is not None and len(reports) == 8
 
 
 @pytest.mark.parametrize("target", [1_000, 10_000, 100_000])
 def test_perf_scale_sweep_indexed(benchmark, target):
-    """Verdict + breach at ~1k/10k/100k observations, indexed path only.
+    """Verdict + breach at ~1k/10k/100k observations, analyzer only.
 
     Subject count scales while per-pair density stays fixed, matching
     how production ledgers grow (more users, similar per-user traffic).

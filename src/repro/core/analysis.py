@@ -248,22 +248,15 @@ class DecouplingAnalyzer:
     makes mid-run ``verdict()``/``coalition_couples()`` answers cheap
     at a million subjects: the analyzer can be queried at any ledger
     version during ingest, and the answer is byte-identical to a fresh
-    full-scan analyzer over the same rows (the streaming-equivalence
-    suite pins this).  :meth:`Ledger.clear
+    full-scan derivation over the same rows (the equivalence suites pin
+    this against an independent test oracle).  :meth:`Ledger.clear
     <repro.core.ledger.Ledger.clear>` bumps the ledger *generation*,
     which voids all incremental state and restarts the cursor.
-
-    ``naive=True`` selects the original full-scan reference
-    implementation (no indices, no memoization, no incremental state).
-    It exists so the equivalence tests can assert, on randomized
-    ledgers, that the streaming path derives byte-identical verdicts,
-    breach reports, and tables.
     """
 
-    def __init__(self, world: World, *, naive: bool = False) -> None:
+    def __init__(self, world: World) -> None:
         self.world = world
         self.ledger: Ledger = world.ledger
-        self.naive = naive
         self._facets_memo: Optional[Tuple[Facet, ...]] = None
         self._facets_version: int = -1
         # Memo keys use subject *names*: subjects are equal iff their
@@ -286,22 +279,18 @@ class DecouplingAnalyzer:
         #: monotone, so pairs are only ever added); ``None`` = unprimed.
         self._violations: Optional[Set[Tuple[str, str]]] = None
         self._verdict_entities: int = -1
-        if not naive:
-            add_listener = getattr(self.ledger, "add_seal_listener", None)
-            if add_listener is not None:
-                # Sync at every segment seal, while the sealed rows are
-                # still resident -- once a segment spills, catching up
-                # through it would mean re-reading it from disk.  The
-                # weakref keeps the ledger's listener list from pinning
-                # dead analyzers.
-                ref = weakref.ref(self)
+        # Sync at every segment seal, while the sealed rows are still
+        # resident -- once a segment spills, catching up through it
+        # would mean re-reading it from disk.  The weakref keeps the
+        # ledger's listener list from pinning dead analyzers.
+        ref = weakref.ref(self)
 
-                def _on_seal(ledger: Ledger, segment: object, _ref=ref) -> None:
-                    analyzer = _ref()
-                    if analyzer is not None:
-                        analyzer._sync()
+        def _on_seal(ledger: Ledger, segment: object, _ref=ref) -> None:
+            analyzer = _ref()
+            if analyzer is not None:
+                analyzer._sync()
 
-                add_listener(_on_seal)
+        self.ledger.add_seal_listener(_on_seal)
 
     def _sync(self) -> None:
         """Catch the incremental state up with the ledger.
@@ -367,8 +356,6 @@ class DecouplingAnalyzer:
     # ------------------------------------------------------------------
 
     def facets(self) -> Tuple[Facet, ...]:
-        if self.naive:
-            return facets_in_ledger(self.ledger, naive=True)
         version = self.ledger.version
         if version != self._facets_version or self._facets_memo is None:
             self._facets_memo = facets_in_ledger(self.ledger)
@@ -400,54 +387,8 @@ class DecouplingAnalyzer:
     # Coupling machinery
     # ------------------------------------------------------------------
 
-    def _pool(
-        self,
-        subject: Subject,
-        *,
-        entities: Optional[Set[str]] = None,
-        organizations: Optional[FrozenSet[str]] = None,
-    ) -> List[Observation]:
-        """One subject's observations, filtered to entities or orgs.
-
-        The indexed path assembles the pool from per-pair buckets, so
-        its cost is the pool size, not the ledger size.  Bucket
-        concatenation does not preserve global record order across
-        filters with several members; every consumer (the union-find
-        coupling check, label sets) is order-insensitive.
-        """
-        if self.naive:
-            pool: List[Observation] = []
-            for obs in self.ledger:
-                if obs.subject != subject:
-                    continue
-                if entities is not None and obs.entity not in entities:
-                    continue
-                if organizations is not None and obs.organization not in organizations:
-                    continue
-                pool.append(obs)
-            return pool
-        if entities is None and organizations is None:
-            return list(self.ledger.by_subject(subject))
-        pool = []
-        if entities is not None:
-            for entity in sorted(entities):
-                bucket = self.ledger.by_pair(entity, subject)
-                if organizations is None:
-                    pool.extend(bucket)
-                else:
-                    pool.extend(
-                        obs for obs in bucket if obs.organization in organizations
-                    )
-        else:
-            assert organizations is not None
-            for org in sorted(organizations):
-                pool.extend(self.ledger.by_org_subject(org, subject))
-        return pool
-
     def entity_couples(self, entity: str, subject: Subject) -> bool:
         """Can this entity alone attribute sensitive data to ▲?"""
-        if self.naive:
-            return _observations_couple(self._pool(subject, entities={entity}))
         self._sync()
         name = subject.name
         key = (entity, name)
@@ -461,14 +402,17 @@ class DecouplingAnalyzer:
             # memoized -- the O(1) gate stays correct as rows arrive,
             # where a stored False would need invalidating.
             return False
-        cached = _observations_couple(self._pool(subject, entities={entity}))
+        cached = _observations_couple(self.ledger.by_pair(entity, subject))
         self._entity_couples_memo[key] = cached
         return cached
 
     def _coalition_couples_one(self, orgs: FrozenSet[str], subject: Subject) -> bool:
-        """Memoized per-(coalition, subject) coupling check."""
-        if self.naive:
-            return _observations_couple(self._pool(subject, organizations=orgs))
+        """Memoized per-(coalition, subject) coupling check.
+
+        The pool concatenates the members' buckets, so its cost is the
+        pool size, not the ledger size.  It is not in global record
+        order; the union-find coupling check does not depend on order.
+        """
         self._sync()
         name = subject.name
         key = (orgs, name)
@@ -477,7 +421,10 @@ class DecouplingAnalyzer:
             return cached
         if not self.ledger.coalition_is_coupling_candidate(orgs, name):
             return False
-        cached = _observations_couple(self._pool(subject, organizations=orgs))
+        pool: List[Observation] = []
+        for org in sorted(orgs):
+            pool.extend(self.ledger.by_org_subject(org, subject))
+        cached = _observations_couple(pool)
         self._coalition_couples_memo[key] = cached
         if not cached:
             self._coalition_false_keys.setdefault(name, []).append(key)
@@ -490,11 +437,6 @@ class DecouplingAnalyzer:
         orgs = frozenset(organizations)
         if subject is not None:
             return self._coalition_couples_one(orgs, subject)
-        if self.naive:
-            return any(
-                self._coalition_couples_one(orgs, subj)
-                for subj in self.ledger.subjects()
-            )
         self._sync()
         # Only candidate subjects can make the pooled check True; for
         # every other subject _coalition_couples_one is False by the
@@ -519,25 +461,6 @@ class DecouplingAnalyzer:
         modeling the "locus of trust moved to the hardware vendor".
         The default is the conservative reading.
         """
-        if self.naive:
-            violations: List[CouplingViolation] = []
-            for entity in self.world.non_user_entities():
-                if trust_attested and entity.organization.attested:
-                    continue
-                for subject in self.ledger.subjects():
-                    if self.entity_couples(entity.name, subject):
-                        labels = self.ledger.labels_of(entity.name, subject)
-                        violations.append(
-                            CouplingViolation(
-                                entity=entity.name,
-                                organization=entity.organization.name,
-                                subject=subject,
-                                cell=cell_from_labels(labels, self.facets()),
-                            )
-                        )
-            return DecouplingVerdict(
-                decoupled=not violations, violations=tuple(violations)
-            )
         self._sync()
         ledger = self.ledger
         entity_count = len(self.world.entities)
@@ -570,8 +493,8 @@ class DecouplingAnalyzer:
                     continue
                 if self.entity_couples(pair[0], ledger.subject(pair[1])):
                     violating.add(pair)
-        # Render in the naive loop's order: world declaration order per
-        # entity, global subject first-appearance order within it.
+        # Render in world declaration order per entity, global subject
+        # first-appearance order within it.
         rendered: List[CouplingViolation] = []
         if self._violations:
             order = {name: i for i, name in enumerate(ledger.subject_names())}
@@ -650,15 +573,14 @@ class DecouplingAnalyzer:
 
     def breach(self, organization: str) -> BreachReport:
         """What an attacker holding all of ``organization``'s data gets."""
-        orgs = frozenset([organization])
         identified: List[Subject] = []
         with_data: List[Subject] = []
         coupled: List[Subject] = []
         for subject in self.ledger.subjects():
-            pool = self._pool(subject, organizations=orgs)
+            pool = self.ledger.by_org_subject(organization, subject)
             if not pool:
                 # An empty pool yields an all-non-sensitive cell and no
-                # coupling; skipping it preserves naive-path output.
+                # coupling.
                 continue
             labels = {obs.label for obs in pool}
             cell = cell_from_labels(labels, self.facets())
@@ -690,14 +612,12 @@ class DecouplingAnalyzer:
         information, most sensitive first -- the narrative version of
         its table cell, for audits and demos.
         """
-        observations = self.ledger.by_entity(entity)
-        if not observations:
+        subjects = self.ledger.subjects_of_entity(entity)
+        if not subjects:
             return f"{entity} observed nothing."
         lines = [f"What {entity} learned:"]
-        for subject in self.ledger.subjects():
-            subject_obs = [o for o in observations if o.subject == subject]
-            if not subject_obs:
-                continue
+        for subject in subjects:
+            subject_obs = self.ledger.by_pair(entity, subject)
             cell = self.knowledge_cell(entity, subject)
             lines.append(f"  about {subject}: {cell.render()}")
             seen: Set[Tuple[str, str]] = set()

@@ -15,7 +15,19 @@ from .analysis import BreachReport, DecouplingAnalyzer, DecouplingVerdict
 from .entities import World
 from .tuples import KnowledgeTable
 
-__all__ = ["AuditReport", "audit"]
+__all__ = ["AuditReport", "audit", "audit_grade"]
+
+
+def audit_grade(decoupled: bool, recouplable: bool) -> str:
+    """A one-word summary of a run's privacy posture.
+
+    * ``strong``  -- decoupled and no coalition can re-couple;
+    * ``decoupled`` -- decoupled, but some coalition could collude;
+    * ``coupled`` -- some single entity already couples.
+    """
+    if not decoupled:
+        return "coupled"
+    return "decoupled" if recouplable else "strong"
 
 
 @dataclass
@@ -32,15 +44,8 @@ class AuditReport:
 
     @property
     def grade(self) -> str:
-        """A one-word summary of the privacy posture.
-
-        * ``strong``  -- decoupled and no coalition can re-couple;
-        * ``decoupled`` -- decoupled, but some coalition could collude;
-        * ``coupled`` -- some single entity already couples.
-        """
-        if not self.verdict.decoupled:
-            return "coupled"
-        return "strong" if not self.coalitions else "decoupled"
+        """The :func:`audit_grade` of this run."""
+        return audit_grade(self.verdict.decoupled, bool(self.coalitions))
 
     def render(self) -> str:
         lines = [f"=== Decoupling audit: {self.title} ===", ""]

@@ -742,26 +742,11 @@ class Ledger:
             if (entity, name) in pairs
         )
 
-    def labels_of(
-        self,
-        entity: str,
-        subject: Optional[Subject] = None,
-        *,
-        channels: Optional[Iterable[str]] = None,
-    ) -> Set[Label]:
+    def labels_of(self, entity: str, subject: Optional[Subject] = None) -> Set[Label]:
         """The set of labels ``entity`` has observed (optionally per subject)."""
-        if channels is None:
-            if subject is None:
-                return set(self._labels_by_entity.get(entity, ()))
-            return set(self._labels_by_pair.get((entity, subject.name), ()))
-        # Channel slicing is rare (audits); scan just this entity's
-        # (or pair's) bucket rather than the whole ledger.
-        wanted = set(channels)
         if subject is None:
-            bucket: Iterable[Observation] = self.by_entity(entity)
-        else:
-            bucket = self.by_pair(entity, subject)
-        return {obs.label for obs in bucket if obs.channel in wanted}
+            return set(self._labels_by_entity.get(entity, ()))
+        return set(self._labels_by_pair.get((entity, subject.name), ()))
 
     # ------------------------------------------------------------------
     # Streaming-analyzer summaries

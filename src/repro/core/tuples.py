@@ -20,7 +20,7 @@ Rendering rules, derived in DESIGN.md:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .labels import (
     Facet,
@@ -160,23 +160,16 @@ class KnowledgeTable:
         return self.render()
 
 
-def facets_in_ledger(ledger: Ledger, *, naive: bool = False) -> Tuple[Facet, ...]:
+def facets_in_ledger(ledger: Ledger) -> Tuple[Facet, ...]:
     """Which identity facets a run used, in display order.
 
     A run that used only generic identities displays the single-mark
     shape; one that used human/network facets (PGPP) displays both.
 
     The ledger maintains its identity-facet set incrementally, so this
-    is O(#facets) rather than O(#observations); ``naive=True`` forces
-    the full-scan reference path (used by the equivalence tests).
+    is O(#facets) rather than O(#observations).
     """
-    if not naive and hasattr(ledger, "identity_facets"):
-        seen: Set[Facet] = set(ledger.identity_facets())
-    else:
-        seen = set()
-        for obs in ledger:
-            if obs.label.is_identity:
-                seen.add(obs.label.facet)
+    seen = ledger.identity_facets()
     ordered = tuple(f for f in _FACET_ORDER if f in seen and f is not Facet.GENERIC)
     if ordered:
         return ordered

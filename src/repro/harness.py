@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs import runtime as _obs
 from repro.obs.tracing import NOOP_SPAN, get_tracer
 
+from repro.core.audit import audit_grade
 from repro.core.metrics import DegreePoint, DegreeSweep
 from repro.core.report import ExperimentReport, compare_tables, flow_series
 from repro.mixnet import run_mixnet
@@ -183,8 +184,8 @@ class TableSummary:
     verdict_decoupled: bool
     coalitions: Tuple[Tuple[str, ...], ...]
     observations: int
-    #: The audit grade (strong / decoupled / coupled), same semantics
-    #: as :attr:`repro.core.audit.AuditReport.grade`.
+    #: The :func:`~repro.core.audit.audit_grade` of the run
+    #: (strong / decoupled / coupled).
     grade: str = ""
     sim_seconds: Optional[float] = None
     events: Optional[int] = None
@@ -216,10 +217,6 @@ def _summarize_table_run(
         for coalition in analyzer.minimal_recoupling_coalitions()
     )
     decoupled = analyzer.verdict().decoupled
-    if not decoupled:
-        grade = "coupled"
-    else:
-        grade = "strong" if not coalitions else "decoupled"
     summary = TableSummary(
         experiment_id=experiment_id,
         title=title,
@@ -227,7 +224,7 @@ def _summarize_table_run(
         verdict_decoupled=decoupled,
         coalitions=coalitions,
         observations=len(run.world.ledger),
-        grade=grade,
+        grade=audit_grade(decoupled, bool(coalitions)),
     )
     network = getattr(run, "network", None)
     if network is not None:

@@ -27,9 +27,10 @@ runs use -- under a segment policy that seals and spills as it goes,
 and takes *checkpoints* mid-run: at each one it asks the streaming
 analyzer for the verdict (and optionally the collusion structure) and
 compares against a fresh analyzer over the same ledger version, i.e.
-the post-hoc full-scan answer.  ``bench_scale`` asserts the comparison
-at 1M users; the Hypothesis suite asserts it against ``naive=True`` at
-small N.
+the post-hoc answer.  ``bench_scale`` asserts the comparison at 1M
+users; at small N the streaming-equivalence suite also checks the
+answers against the full-scan test oracle
+(``tests/analyzer_reference.py``).
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def build_scale_world() -> World:
 
 
 def _verdicts_match(world: World, streaming: DecouplingAnalyzer) -> bool:
-    """Streaming answer == fresh full-scan answer, byte for byte."""
+    """Streaming answer == a fresh analyzer's answer, byte for byte."""
     fresh = DecouplingAnalyzer(world)
     return str(streaming.verdict()) == str(fresh.verdict())
 

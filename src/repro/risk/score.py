@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.analysis import DecouplingAnalyzer
+from repro.core.audit import audit_grade
 from repro.core.ledger import Ledger, Observation
 from repro.core.metrics import anonymity_set_size, entropy_bits
 from repro.core.values import Subject
@@ -335,12 +336,10 @@ class RiskReport:
 
     @property
     def grade(self) -> str:
-        """coupled / decoupled / strong, matching the harness's grades."""
-        if not self.decoupled:
-            return "coupled"
-        if self.collusion_resistance > len(self.organizations):
-            return "strong"
-        return "decoupled"
+        """The :func:`~repro.core.audit.audit_grade` of the scored run."""
+        return audit_grade(
+            self.decoupled, self.collusion_resistance <= len(self.organizations)
+        )
 
     # -- the graded verdict --------------------------------------------
 

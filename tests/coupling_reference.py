@@ -5,9 +5,9 @@ integer union-find.  This module keeps the kernel it replaced --
 a union-find over hashable ``("obs", i)`` / ``("session", s)`` /
 ``("digest", d)`` tokens with a recursive ``find`` -- exactly as it
 was, so ``tests/test_coupling_kernel.py`` can check on generated pools
-that both give the same answer.  The analyzer-level equivalence suites
-cannot catch a kernel bug: their naive and indexed analyzers call the
-same kernel.
+that both give the same answer.  The full-scan analyzer oracle
+(``tests/analyzer_reference.py``) couples its pools with this kernel
+too, so the analyzer-level equivalence suites also catch a kernel bug.
 
 The recursion in ``find`` makes this oracle unusable on long linkage
 chains (a few thousand links exhaust the default recursion limit);

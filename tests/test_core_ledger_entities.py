@@ -40,7 +40,7 @@ class TestLedger:
         ledger.record("E", "org", _value(label=SENSITIVE_IDENTITY), channel="wire")
         ledger.record("E", "org", _value(subject=BOB), channel="message")
         assert ledger.labels_of("E", ALICE) == {SENSITIVE_IDENTITY}
-        assert ledger.labels_of("E", channels=["message"]) == {SENSITIVE_DATA}
+        assert ledger.labels_of("E", BOB) == {SENSITIVE_DATA}
 
     def test_merged_orders_by_time(self):
         a, b = Ledger(), Ledger()

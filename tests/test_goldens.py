@@ -5,6 +5,9 @@ Two kinds of golden live under ``tests/golden/``:
 - ``demo/<id>.json`` -- the exact ``repro demo <id> --json`` output of
   every registered spec (plus ``odoh@odoh_proxy_crash.json``, the
   same demo under ``examples/faults/odoh_proxy_crash.json``);
+- ``demo/<id>.txt`` -- the exact text ``repro demo <id>`` output, which
+  carries what the JSON does not: the verdict text, the breach lines
+  and each entity's ``explain()`` narration;
 - ``traces.json`` -- each ``repro trace`` command mapped to the sha256
   of its normalised JSONL export.  Digests are committed instead of
   the JSONL because the ``full``-mode exports alone run to megabytes.
@@ -17,14 +20,16 @@ while the linkage structure -- which observations carry the same
 value -- stays pinned.
 
 Each spec's commands run in one fresh interpreter, in a fixed order
-(demo first, then the traces).  A fresh process per spec matters:
-process-global id counters (report, message, circuit, tunnel and value
-serials) leak between runs in one process, so a second in-process run
-of the same demo can report different byte counts.  That one run is
-cached, and ``test_demo_goldens`` and ``test_trace_goldens`` both check
-against it.  Two more tests run ``python -m repro`` twice, each time in
-a fresh interpreter, for ``demo odoh --json`` and ``tables``, and check
-both runs against their goldens.
+(the JSON demo first, then the traces, then the text demo).  A fresh
+process per spec matters: process-global id counters (report, message,
+circuit, tunnel and value serials) leak between runs in one process, so
+a second in-process run of the same demo can report different byte
+counts.  The text demo runs last so that it shifts none of the other
+commands' bytes.  That one run is cached, and ``test_demo_goldens``
+and ``test_trace_goldens`` both check against it.  Two more tests run
+``python -m repro`` twice, each time in a fresh interpreter, for
+``demo odoh --json`` and ``tables``, and check both runs against their
+goldens.
 
 Regenerate only for an intended output change, and say so in
 CHANGES.md::
@@ -97,15 +102,18 @@ def commands(spec_id):
     if spec_id == "mixnet":
         for mode in (("--obs-mode", "off"), SAMPLED, ("--obs-mode", "full")):
             out.append(("trace", spec_id, "--faults", LOSSY_PLAN, *mode))
+    out.append(("demo", spec_id))
     return out
 
 
 def demo_golden_path(command):
-    """``demo/<id>.json``, or ``demo/<id>@<plan>.json`` under faults."""
+    """``demo/<id>.json``, ``demo/<id>@<plan>.json`` under faults, or
+    ``demo/<id>.txt`` for the text demo (no ``--json``)."""
     name = command[1]
     if "--faults" in command:
         name += "@" + Path(command[command.index("--faults") + 1]).stem
-    return DEMO_GOLDEN / f"{name}.json"
+    suffix = ".json" if "--json" in command else ".txt"
+    return DEMO_GOLDEN / f"{name}{suffix}"
 
 
 def normalized_digest(path):
@@ -175,7 +183,8 @@ def test_every_spec_has_goldens():
     """A newly registered spec fails here until its goldens exist."""
     every = [command for spec_id in spec_ids() for command in commands(spec_id)]
     demos = {demo_golden_path(c).name for c in every if c[0] == "demo"}
-    assert {path.name for path in DEMO_GOLDEN.glob("*.json")} == demos
+    committed = [*DEMO_GOLDEN.glob("*.json"), *DEMO_GOLDEN.glob("*.txt")]
+    assert {path.name for path in committed} == demos
     assert set(_trace_goldens()) == {" ".join(c) for c in every if c[0] == "trace"}
 
 
@@ -238,7 +247,7 @@ def test_tables_identical_between_processes():
 
 def regenerate():
     DEMO_GOLDEN.mkdir(parents=True, exist_ok=True)
-    for stale in DEMO_GOLDEN.glob("*.json"):
+    for stale in [*DEMO_GOLDEN.glob("*.json"), *DEMO_GOLDEN.glob("*.txt")]:
         stale.unlink()
     traces = {}
     for spec_id in spec_ids():

@@ -1,19 +1,22 @@
-"""Indexed-analyzer equivalence: the fast path must equal the naive one.
+"""Indexed-analyzer equivalence: the analyzer must equal a full scan.
 
 The indexed ledger and the memoized analyzer exist only for speed;
 their contract is that every derived fact -- verdicts, breach reports,
-knowledge tables, coalitions -- is *identical* to what the original
-full-scan reference (``DecouplingAnalyzer(world, naive=True)``)
-computes.  These tests check that on seeded randomized ledgers that
-exercise every linkage feature (sessions, shared digests, secret
-shares, identity facets, channels), and that memoized results
-invalidate correctly when observations are appended after a query.
+knowledge tables, coalitions -- is *identical* to what the full-scan
+test oracle (``tests/analyzer_reference.py``) derives with none of
+their machinery, not even the coupling kernel.  These tests check that
+on seeded randomized ledgers that exercise every linkage feature
+(sessions, shared digests, secret shares, identity facets, channels),
+and that memoized results invalidate correctly when observations are
+appended after a query.
 """
 
+import itertools
 import random
 
 import pytest
 
+from analyzer_reference import ReferenceAnalyzer
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
 from repro.core.labels import (
@@ -81,27 +84,38 @@ def _random_world(seed, entities=5, subjects=6, observations=120):
 
 def _assert_equivalent(world):
     indexed = DecouplingAnalyzer(world)
-    naive = DecouplingAnalyzer(world, naive=True)
-    assert indexed.facets() == naive.facets()
-    assert indexed.verdict() == naive.verdict()
-    assert indexed.verdict(trust_attested=True) == naive.verdict(trust_attested=True)
-    assert indexed.breach_reports() == naive.breach_reports()
-    assert indexed.table().render() == naive.table().render()
+    reference = ReferenceAnalyzer(world)
+    assert indexed.facets() == reference.facets()
+    assert indexed.verdict() == reference.verdict()
+    assert indexed.verdict(trust_attested=True) == reference.verdict(
+        trust_attested=True
+    )
+    assert indexed.breach_reports() == reference.breach_reports()
+    assert indexed.table().render() == reference.table().render()
     assert (
         indexed.minimal_recoupling_coalitions()
-        == naive.minimal_recoupling_coalitions()
+        == reference.minimal_recoupling_coalitions()
     )
-    assert indexed.collusion_resistance() == naive.collusion_resistance()
+    assert indexed.collusion_resistance() == reference.collusion_resistance()
+    organizations = reference.non_user_organizations()
+    coalitions = [
+        combo for size in (1, 2) for combo in itertools.combinations(organizations, size)
+    ]
     for subject in world.ledger.subjects():
         for entity in world.ledger.entities():
-            assert indexed.entity_couples(entity, subject) == naive.entity_couples(
+            assert indexed.entity_couples(entity, subject) == reference.entity_couples(
                 entity, subject
             ), (entity, subject)
+        for coalition in coalitions:
+            assert indexed.coalition_couples(
+                coalition, subject
+            ) == reference.coalition_couples(coalition, subject), (coalition, subject)
 
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_indexed_matches_naive(self, seed):
+        """The analyzer equals the full-scan oracle on one seeded ledger."""
         _assert_equivalent(_random_world(seed))
 
     def test_many_entities_few_subjects(self):
@@ -117,10 +131,9 @@ class TestRandomizedEquivalence:
         _assert_equivalent(world)
 
     def test_facets_in_ledger_naive_flag_matches(self):
+        """The ledger's identity-facet summary against a full scan."""
         world = _random_world(303)
-        assert facets_in_ledger(world.ledger) == facets_in_ledger(
-            world.ledger, naive=True
-        )
+        assert facets_in_ledger(world.ledger) == ReferenceAnalyzer(world).facets()
 
 
 class TestLedgerIndices:
@@ -181,17 +194,20 @@ class TestLedgerIndices:
             a.ledger.identity_facets() | b.ledger.identity_facets()
         )
 
-    def test_labels_of_channel_filter_matches_scan(self):
+    def test_labels_of_matches_scan(self):
+        """The per-entity and per-pair label summaries against a scan."""
         world = _random_world(31)
         ledger = world.ledger
         for entity in ledger.entities():
-            for channel in _CHANNELS:
-                expected = {
+            assert ledger.labels_of(entity) == {
+                o.label for o in ledger if o.entity == entity
+            }
+            for subject in ledger.subjects():
+                assert ledger.labels_of(entity, subject) == {
                     o.label
                     for o in ledger
-                    if o.entity == entity and o.channel == channel
+                    if o.entity == entity and o.subject == subject
                 }
-                assert ledger.labels_of(entity, channels=[channel]) == expected
 
 
 class TestMemoInvalidation:
@@ -220,7 +236,7 @@ class TestMemoInvalidation:
         assert analyzer.entity_couples("Server", alice)
         verdict = analyzer.verdict()
         assert not verdict.decoupled
-        assert verdict == DecouplingAnalyzer(world, naive=True).verdict()
+        assert verdict == ReferenceAnalyzer(world).verdict()
 
     def test_facets_memo_invalidates_on_append(self):
         world = World()
@@ -232,7 +248,7 @@ class TestMemoInvalidation:
         first = analyzer.facets()
         server.observe(LabeledValue("imsi", SENSITIVE_NETWORK_IDENTITY, alice, "imsi"))
         assert analyzer.facets() != first
-        assert analyzer.facets() == DecouplingAnalyzer(world, naive=True).facets()
+        assert analyzer.facets() == ReferenceAnalyzer(world).facets()
 
     def test_breach_reports_track_appends(self):
         world = _random_world(41, observations=40)
@@ -251,7 +267,7 @@ class TestMemoInvalidation:
         )
         after = analyzer.breach_reports()
         assert after != before
-        assert after == DecouplingAnalyzer(world, naive=True).breach_reports()
+        assert after == ReferenceAnalyzer(world).breach_reports()
 
 
 class TestObservationHashing:

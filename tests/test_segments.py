@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from analyzer_reference import ReferenceAnalyzer
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
 from repro.core.labels import (
@@ -286,6 +287,8 @@ class TestSpillDirHygiene:
 
 
 def test_analyzer_over_spilled_ledger_matches_naive(tmp_path):
+    """The streaming analyzer over spilled segments equals the full-scan
+    oracle."""
     world = World()
     world.entity("User", "device", trusted_by_user=True)
     world.entity("Server", "org-s")
@@ -303,8 +306,8 @@ def test_analyzer_over_spilled_ledger_matches_naive(tmp_path):
             session=f"s{index}",
         )
     streaming = DecouplingAnalyzer(world)
-    naive = DecouplingAnalyzer(world, naive=True)
-    assert str(streaming.verdict()) == str(naive.verdict())
+    reference = ReferenceAnalyzer(world)
+    assert str(streaming.verdict()) == str(reference.verdict())
 
 
 def _assert_spill_round_trip(original: Ledger, directory) -> None:

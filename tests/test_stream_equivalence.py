@@ -1,17 +1,19 @@
-"""Streaming ≡ batch: the incremental analyzer against the naive oracle.
+"""Streaming ≡ batch: the incremental analyzer against a full-scan oracle.
 
-The streaming ledger (PR 9) shards storage into sealable, spillable
-segments and lets :class:`DecouplingAnalyzer` answer mid-run.  The
-contract is byte-identity: at *any* ledger version, whatever
-interleaving of ``record``/``record_fast``/``seal_active_segment``/
+The streaming ledger shards storage into sealable, spillable segments
+and lets :class:`DecouplingAnalyzer` answer mid-run.  The contract is
+byte-identity: at *any* ledger version, whatever interleaving of
+``record``/``record_fast``/``seal_active_segment``/
 ``spill_sealed_segments`` produced the rows, the streaming analyzer's
 ``verdict()``, ``table()``, and ``minimal_recoupling_coalitions()``
-render identically to the ``naive=True`` full-scan reference -- and to
-a *fresh* analyzer over a replay of the same row prefix.
+render identically to the full-scan test oracle
+(``tests/analyzer_reference.py``) -- and to a *fresh* analyzer over a
+replay of the same row prefix.
 """
 
 from hypothesis import given, strategies as st
 
+from analyzer_reference import ReferenceAnalyzer
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
 from repro.core.labels import (
@@ -126,24 +128,25 @@ def _coalitions(analyzer):
     )
 
 
-def _assert_matches_naive(world: World, streaming: DecouplingAnalyzer) -> None:
-    naive = DecouplingAnalyzer(world, naive=True)
-    assert str(streaming.verdict()) == str(naive.verdict())
-    assert str(streaming.table()) == str(naive.table())
-    assert _coalitions(streaming) == _coalitions(naive)
+def _assert_matches_reference(world: World, streaming: DecouplingAnalyzer) -> None:
+    reference = ReferenceAnalyzer(world)
+    assert str(streaming.verdict()) == str(reference.verdict())
+    assert str(streaming.table()) == str(reference.table())
+    assert _coalitions(streaming) == _coalitions(reference)
 
 
 @given(ops=OPS, segment_rows=st.sampled_from([2, 3, 1000]), spill=st.booleans())
 def test_streaming_equals_naive_at_every_checkpoint(ops, segment_rows, spill):
-    """Any interleaving, any segment policy: byte-identical answers."""
+    """Any interleaving, any segment policy: byte-identical to the
+    full-scan oracle at every checkpoint."""
     world = _build_world()
     world.ledger.configure_segments(rows=segment_rows, spill=spill)
     streaming = DecouplingAnalyzer(world)
     for op in ops:
         _apply(world, op)
         if op[0] == "check":
-            _assert_matches_naive(world, streaming)
-    _assert_matches_naive(world, streaming)
+            _assert_matches_reference(world, streaming)
+    _assert_matches_reference(world, streaming)
 
 
 @given(ops=OPS, segment_rows=st.sampled_from([2, 5]))
@@ -194,11 +197,11 @@ def test_memo_survives_clear(ops):
         _apply(world, op)
     streaming.verdict()  # prime the incremental state
     world.ledger.clear()
-    _assert_matches_naive(world, streaming)
+    _assert_matches_reference(world, streaming)
     # Refill after the clear: the analyzer re-syncs from scratch.
     for op in ops[: len(ops) // 2]:
         _apply(world, op)
-    _assert_matches_naive(world, streaming)
+    _assert_matches_reference(world, streaming)
 
 
 def test_scale_workload_checkpoints_match_with_violations():
@@ -221,8 +224,9 @@ def test_scale_workload_checkpoints_match_with_violations():
 
 
 def test_scale_workload_mid_run_equals_naive_oracle():
-    """Small-N scale workload: every checkpoint verdict also matches
-    the ``naive=True`` oracle, not just the fresh streaming analyzer."""
+    """Small-N scale workload: the final verdict and collusion
+    resistance also match the full-scan oracle, not just a fresh
+    streaming analyzer."""
     from repro.population.workload import run_scale_workload
 
     seen = []
@@ -238,7 +242,7 @@ def test_scale_workload_mid_run_equals_naive_oracle():
         on_checkpoint=check,
     )
     assert seen == result.checkpoints
-    naive = DecouplingAnalyzer(result.world, naive=True)
+    reference = ReferenceAnalyzer(result.world)
     streaming = DecouplingAnalyzer(result.world)
-    assert str(streaming.verdict()) == str(naive.verdict())
-    assert streaming.collusion_resistance() == naive.collusion_resistance() == 2
+    assert str(streaming.verdict()) == str(reference.verdict())
+    assert streaming.collusion_resistance() == reference.collusion_resistance() == 2
