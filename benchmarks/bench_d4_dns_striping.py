@@ -8,69 +8,17 @@ Sweep resolver count 1..8 under round-robin striping over a workload of
 distinct names; measure the best-informed resolver's share of queries
 and of distinct names.  Expected shape: per-resolver knowledge ~1/n,
 monotonically decreasing; hash (sticky) striping trades knowledge
-concentration for cache friendliness.
+concentration for cache friendliness.  Both run the harness's one
+striping world (:func:`repro.harness.striping_stub`), which differs
+only in the policy.
 """
 
-from repro.core.entities import World
-from repro.core.values import LabeledValue, Subject
-from repro.core.labels import SENSITIVE_IDENTITY
-from repro.dns.resolver import RecursiveResolver
-from repro.dns.striping import HashPolicy, RoundRobinPolicy, StripingStub
-from repro.dns.zones import AuthoritativeServer, Zone, ZoneRegistry
-from repro.net.network import Network
-
-RESOLVER_COUNTS = (1, 2, 4, 8)
-NAMES = [f"site-{i}.example.com" for i in range(16)]
-
-
-def _run_striping(resolver_count: int, policy_factory):
-    world = World()
-    network = Network()
-    registry = ZoneRegistry()
-    zone = Zone("example.com")
-    for name in NAMES:
-        zone.add(name, "203.0.113.99")
-    AuthoritativeServer(network, world.entity("Auth", "dns-infra"), zone, registry)
-    resolvers = [
-        RecursiveResolver(
-            network,
-            world.entity(f"Resolver {i}", f"resolver-org-{i}"),
-            registry,
-            name=f"resolver-{i}",
-        )
-        for i in range(resolver_count)
-    ]
-    alice = Subject("alice")
-    identity = LabeledValue("198.51.100.9", SENSITIVE_IDENTITY, alice, "ip")
-    host = network.add_host(
-        "client",
-        world.entity("Client", "device", trusted_by_user=True),
-        identity=identity,
-    )
-    stub = StripingStub(host, [r.address for r in resolvers], policy_factory())
-    for name in NAMES:
-        stub.lookup(name, alice)
-    return stub
-
-
-def sweep_round_robin():
-    series = []
-    for count in RESOLVER_COUNTS:
-        stub = _run_striping(count, RoundRobinPolicy)
-        series.append(
-            {
-                "resolvers": count,
-                "max_query_share": stub.max_resolver_share(),
-                "max_name_coverage": stub.max_name_coverage(len(NAMES)),
-                "load_entropy_bits": stub.load_entropy_bits(),
-                "imbalance": stub.load_imbalance(),
-            }
-        )
-    return series
+from repro.dns.striping import HashPolicy
+from repro.harness import STRIPING_NAMES, striping_stub, sweep_striping
 
 
 def test_d4_striping_sweep(benchmark):
-    series = benchmark(sweep_round_robin)
+    series = benchmark(sweep_striping)
     shares = [row["max_query_share"] for row in series]
     coverages = [row["max_name_coverage"] for row in series]
 
@@ -90,12 +38,9 @@ def test_d4_striping_sweep(benchmark):
 
 
 def test_d4_hash_striping_concentrates_per_name(benchmark):
-    def run_hash():
-        return _run_striping(4, HashPolicy)
-
-    stub = benchmark(run_hash)
+    stub = benchmark(lambda: striping_stub(4, HashPolicy()))
     # Sticky hashing still spreads *names*, but any one name's queries
     # all land on one resolver (coverage below 1, share above 1/n is
     # possible depending on the hash).
-    assert stub.max_name_coverage(len(NAMES)) < 1.0
-    assert sum(stub.queries_by_resolver.values()) == len(NAMES)
+    assert stub.max_name_coverage(len(STRIPING_NAMES)) < 1.0
+    assert sum(stub.queries_by_resolver.values()) == len(STRIPING_NAMES)

@@ -6,7 +6,7 @@ Commands:
   (``--trace`` appends a per-experiment timing/metrics section,
   ``--json`` emits the machine-readable equivalent, ``--jobs N`` fans
   experiments and sweeps across N worker processes with output
-  identical to a serial run)
+  identical to a serial run, ``--risk`` appends the G-series section)
 * ``tables``      -- just the knowledge tables (T-series); ``--jobs N``
 * ``figures``     -- just the flow figures (F-series)
 * ``sweeps``      -- just the degree sweeps (D-series); ``--trace``
@@ -38,21 +38,29 @@ Commands:
   every scenario plus risk-vs-degree sweeps (``--profile`` loads a
   JSON sensitivity profile, ``--faults`` reports the risk delta when
   a fault plan fires; see docs/RISK.md)
+* ``scale``       -- the T-series ledger-ingest workload: streaming
+  analysis at population scale (``--users N[,N...]`` runs a sweep;
+  see docs/SCALE.md)
+* ``privcount``   -- the P-series: PrivCount's reconstruction threshold
+  over a (collectors, share keepers) grid
 * ``list``        -- list the available demos
 
 ``demo``, ``trace``, ``explain``, and ``timeline`` all accept
-``--faults plan.json``; ``report --risk`` appends the G-series risk
-section and ``explain NAME --entity E --risk`` prints the per-pair
-risk decomposition (sub-score terms pinned to provenance chains).
+``--faults plan.json``; ``explain NAME --entity E --risk`` prints the
+per-pair risk decomposition (sub-score terms pinned to provenance
+chains).  The four series verbs (``resilience``, ``risk``, ``scale``,
+``privcount``) share one output path: ``--out PATH`` writes the JSON
+document, ``--json`` prints it, and otherwise the text report prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro import harness, obs
 from repro.obs import export as obs_export
@@ -61,49 +69,119 @@ from repro.scenario import all_specs, experiment_specs, run_scenario
 
 __all__ = ["main"]
 
-#: Back-compat view of the scenario registry: demo name -> runner.
-#: Populated by :func:`_register_demos`; both survive from the
-#: pre-registry CLI because tests and downstream scripts import them.
-_DEMOS: Dict[str, Callable[[], object]] = {}
+
+class _Exit(Exception):
+    """An error exit: :func:`main` prints ``message`` and returns ``code``."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+        self.message = message
 
 
-def _register_demos() -> None:
-    """Populate :data:`_DEMOS` from the scenario registry."""
-    for spec in all_specs():
-        _DEMOS.setdefault(spec.id, functools.partial(run_scenario, spec.id))
+def _spec_ids() -> List[str]:
+    """Every registered scenario id, sorted."""
+    return [spec.id for spec in all_specs()]
 
 
-def _resolve_demo(name: str, out, faults=None):
-    """The runner registered under ``name``, or ``None`` (with a hint).
+def _check_demo(name: str) -> None:
+    if name not in _spec_ids():
+        raise _Exit(2, f"unknown demo {name!r}; try: {', '.join(_spec_ids())}")
 
-    ``faults`` (a :class:`repro.faults.FaultPlan`) rebinds the runner
-    to carry the plan into :func:`run_scenario`.
-    """
-    _register_demos()
-    runner = _DEMOS.get(name)
-    if runner is None:
-        print(f"unknown demo {name!r}; try: {', '.join(sorted(_DEMOS))}", file=out)
+
+def _scenario_ids(text) -> Optional[List[str]]:
+    """The ``--scenarios`` ids, checked; ``None`` means every spec."""
+    if not text:
         return None
-    if faults is not None:
-        return functools.partial(run_scenario, name, faults=faults)
-    return runner
+    ids = [name.strip() for name in text.split(",") if name.strip()]
+    known = _spec_ids()
+    unknown = sorted(set(ids) - set(known))
+    if unknown:
+        raise _Exit(
+            2, f"unknown scenario(s): {', '.join(unknown)}; try: {', '.join(known)}"
+        )
+    return ids
 
 
-def _load_fault_plan(path: str, out):
-    """Parse a JSON fault-plan file; ``None`` (with a message) on error."""
+def _count_grids(verb: str, *grids) -> List[List[int]]:
+    """Each ``(flag, text)`` grid as a list of positive integers.
+
+    An empty grid, or one holding a non-integer or a count below 1,
+    gets one line; every bad grid is reported in one exit 2.
+    """
+    counts, errors = [], []
+    for flag, text in grids:
+        items = [item.strip() for item in str(text).split(",") if item.strip()]
+        try:
+            values = [int(item) for item in items]
+        except ValueError:
+            values = [0]
+        if not items:
+            errors.append(f"{verb} needs at least one --{flag} count")
+        elif min(values) < 1:
+            errors.append(
+                f"invalid --{flag} {text!r}:"
+                " expected comma-separated positive integers"
+            )
+        counts.append(values)
+    if errors:
+        raise _Exit(2, "\n".join(errors))
+    return counts
+
+
+def _load_fault_plan(path: str):
+    """Parse a JSON fault-plan file."""
     from repro.faults import FaultPlan, FaultPlanError
 
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as error:
-        print(f"cannot read fault plan {path!r}: {error}", file=out)
-        return None
+        raise _Exit(2, f"cannot read fault plan {path!r}: {error}") from None
     try:
         return FaultPlan.from_json(text)
     except FaultPlanError as error:
-        print(f"invalid fault plan {path!r}: {error}", file=out)
-        return None
+        raise _Exit(2, f"invalid fault plan {path!r}: {error}") from None
+
+
+def _load_sensitivity_profile(path):
+    """Load a JSON sensitivity profile; no ``path`` means the default."""
+    from repro.risk import DEFAULT_PROFILE, ProfileError, load_profile
+
+    if not path:
+        return DEFAULT_PROFILE
+    try:
+        return load_profile(path)
+    except OSError as error:
+        raise _Exit(2, f"cannot read profile {path!r}: {error}") from None
+    except ProfileError as error:
+        raise _Exit(2, f"invalid profile {path!r}: {error}") from None
+
+
+def _print_json(document, out) -> None:
+    json.dump(document, out, ensure_ascii=False, indent=2)
+    print(file=out)
+
+
+def _emit(args, out, document, summary: str, render, ok: bool = True) -> int:
+    """The one output path of the series verbs.
+
+    ``--out PATH`` writes ``document`` and prints ``<summary> -> PATH``;
+    ``--json`` prints the document; otherwise ``render(out)`` prints the
+    text report.  The exit code is the series' own check, ``ok``.
+    """
+    if args.out_path:
+        try:
+            with open(args.out_path, "w", encoding="utf-8") as handle:
+                _print_json(document, handle)
+        except OSError as error:
+            raise _Exit(1, f"cannot write {args.out_path!r}: {error}") from None
+        print(f"{summary} -> {args.out_path}", file=out)
+    if args.json:
+        _print_json(document, out)
+    elif not args.out_path:
+        render(out)
+    return 0 if ok else 1
 
 
 def _print_table_summaries(summaries, out) -> bool:
@@ -125,19 +203,26 @@ def _print_table_summaries(summaries, out) -> bool:
     return all_match
 
 
-def _print_tables(out, jobs: int = 1) -> bool:
-    return _print_table_summaries(harness.table_summaries(jobs=jobs), out)
+_FIGURE_TITLES = {
+    "F1": "F1: mix-net decoupling flow (paper Figure 1)",
+    "F2": "F2: Privacy Pass decoupling flow (paper Figure 2)",
+}
 
 
-def _print_figures(out) -> None:
-    print("F1: mix-net decoupling flow (paper Figure 1)", file=out)
-    for step in harness.figure_f1_series():
-        print(" ", step.render(), file=out)
-    print(file=out)
-    print("F2: Privacy Pass decoupling flow (paper Figure 2)", file=out)
-    for step in harness.figure_f2_series():
-        print(" ", step.render(), file=out)
-    print(file=out)
+def _figure_series() -> Dict[str, list]:
+    return {"F1": harness.figure_f1_series(), "F2": harness.figure_f2_series()}
+
+
+def _print_figures(figures, out) -> None:
+    for key, steps in figures.items():
+        print(_FIGURE_TITLES[key], file=out)
+        for step in steps:
+            print(" ", step.render(), file=out)
+        print(file=out)
+
+
+def _sweep_payloads(results) -> Dict[str, object]:
+    return {result.key: result.payload for result in results}
 
 
 def _print_sweep_payloads(payloads: Dict[str, object], out) -> None:
@@ -189,75 +274,130 @@ def _print_sweep_payloads(payloads: Dict[str, object], out) -> None:
     print(file=out)
 
 
-def _sweep_payload_map(results) -> Dict[str, object]:
-    return {result.key: result.payload for result in results}
+# ----------------------------------------------------------------------
+# --trace sections
+# ----------------------------------------------------------------------
+#
+# A serial ``--trace`` run holds everything under one capture and reads
+# its rows from the spans; under ``--jobs N`` each worker captures
+# locally and ships back wall time, span counts and counter snapshots,
+# which fold into the same rows.  Figures run in the parent untraced,
+# so the folded totals leave them out.
 
 
-def _print_sweeps(out, jobs: int = 1) -> None:
-    _print_sweep_payloads(
-        _sweep_payload_map(harness.sweep_results(jobs=jobs)), out
-    )
+def _capture(trace: bool, jobs: int):
+    """The capture of a serial ``--trace`` run; a no-op otherwise."""
+    if trace and jobs == 1:
+        return obs.capture()
+    return contextlib.nullcontext((None, None))
 
 
-def _spans_per_experiment(tracer) -> Dict[int, int]:
-    """Descendant-span counts keyed by experiment span id."""
+def _fold_counters(parts) -> Dict[str, int]:
+    """Sum per-worker counter snapshots into one totals mapping."""
+    totals: Dict[str, int] = {}
+    for part in parts:
+        for name, value in part.counters.items():
+            totals[name] = totals.get(name, 0) + value
+    return totals
+
+
+def _trace_counters(registry, parts) -> Dict[str, int]:
+    """Counter totals: the serial capture's, or folded from ``parts``."""
+    if registry is None:
+        return _fold_counters(parts)
+    return {
+        row["name"]: row["value"]
+        for row in registry.snapshot()
+        if row["type"] == "counter"
+    }
+
+
+#: A run's totals, as experiment span attributes and summary fields.
+_RUN_COUNTS = ("events", "messages", "bytes", "observations")
+
+
+def _experiment_rows(tracer, summaries) -> List[dict]:
+    """One timing row per experiment, from its span or its summary."""
+    if tracer is None:
+        keys = ("experiment_id", "title", "wall_ms", "sim_seconds", "spans", *_RUN_COUNTS)
+        return [{key: getattr(s, key) for key in keys} for s in summaries]
     from repro.obs import analyze
 
-    return analyze.descendant_counts(
-        tracer.spans,
-        [span.span_id for span in tracer.by_name("experiment")],
+    spans = tracer.by_name("experiment")
+    counts = analyze.descendant_counts(tracer.spans, [s.span_id for s in spans])
+    return [
+        {
+            "experiment_id": span.attributes.get("experiment"),
+            "title": span.attributes.get("title", ""),
+            "wall_ms": (span.wall_seconds or 0.0) * 1000.0,
+            "sim_seconds": span.sim_duration,
+            "spans": counts.get(span.span_id, 0),
+            **{key: span.attributes.get(key) for key in _RUN_COUNTS},
+        }
+        for span in spans
+    ]
+
+
+def _sweep_lines(tracer, sweep_results) -> List[str]:
+    """One ``points=… wall=…`` line per sweep, from spans or worker results."""
+    if tracer is not None:
+        parts = [
+            (str(span.attributes.get("sweep", "?")), 1, (span.wall_seconds or 0.0) * 1000.0)
+            for span in tracer.by_name("sweep-point")
+        ]
+    else:
+        # D3u/D3p are halves of the paper's D3; fold them back together
+        # so the keys match the span-derived ones.
+        parts = [
+            ("D3" if r.key.startswith("D3") else r.key, r.points, r.wall_ms)
+            for r in sweep_results
+        ]
+    totals: Dict[str, List[float]] = {}
+    for sweep, points, wall_ms in parts:
+        row = totals.setdefault(sweep, [0, 0.0])
+        row[0] += points
+        row[1] += wall_ms
+    return [
+        f"  {sweep}: points={points} wall={wall_ms:.2f}ms"
+        for sweep, (points, wall_ms) in sorted(totals.items())
+    ]
+
+
+def _dash(value):
+    return "-" if value is None else value
+
+
+def _experiment_line(row) -> str:
+    return (
+        f"  {row['experiment_id']:<4}"
+        f" {row['title'][:42]:<42}"
+        f" wall={row['wall_ms']:8.2f}ms sim={row['sim_seconds'] or 0.0:8.4f}s"
+        f" spans={row['spans']:>4}"
+        f" events={_dash(row['events']):>5}"
+        f" messages={_dash(row['messages']):>4}"
+        f" bytes={_dash(row['bytes']):>7}"
+        f" observations={_dash(row['observations']):>4}"
     )
 
 
-def _print_trace_section(tracer, registry, out) -> None:
-    """The per-experiment timing/metrics section behind ``--trace``."""
-    print("Per-experiment timing / metrics (tracing enabled)", file=out)
-    counts = _spans_per_experiment(tracer)
-    for span in tracer.by_name("experiment"):
-        attrs = span.attributes
-        wall_ms = (span.wall_seconds or 0.0) * 1000.0
-        sim = span.sim_duration or 0.0
-        print(
-            f"  {attrs.get('experiment', '?'):<4}"
-            f" {attrs.get('title', '')[:42]:<42}"
-            f" wall={wall_ms:8.2f}ms sim={sim:8.4f}s"
-            f" spans={counts.get(span.span_id, 0):>4}"
-            f" events={attrs.get('events', '-'):>5}"
-            f" messages={attrs.get('messages', '-'):>4}"
-            f" bytes={attrs.get('bytes', '-'):>7}"
-            f" observations={attrs.get('observations', '-'):>4}",
-            file=out,
-        )
-    print(
-        f"  totals: spans={len(tracer.spans)}"
-        f" events={registry.counter_value('sim.events')}"
-        f" messages={registry.counter_value('net.messages')}"
-        f" dropped={registry.counter_value('net.packets_dropped')}"
-        f" bytes={registry.counter_value('net.bytes')}"
-        f" observations={registry.counter_value('ledger.observations')}",
-        file=out,
-    )
-    print(file=out)
+#: The counters a ``--trace`` totals line shows: (label, counter).
+_TOTALS = (
+    ("events", "sim.events"),
+    ("messages", "net.messages"),
+    ("dropped", "net.packets_dropped"),
+    ("bytes", "net.bytes"),
+    ("observations", "ledger.observations"),
+)
 
 
-def _print_sweep_trace_section(tracer, registry, out) -> None:
-    points = tracer.by_name("sweep-point")
-    by_sweep: Dict[str, list] = {}
-    for span in points:
-        by_sweep.setdefault(str(span.attributes.get("sweep", "?")), []).append(span)
-    print("Per-sweep timing (tracing enabled)", file=out)
-    for sweep in sorted(by_sweep):
-        spans = by_sweep[sweep]
-        wall_ms = sum((s.wall_seconds or 0.0) for s in spans) * 1000.0
-        print(
-            f"  {sweep}: points={len(spans)} wall={wall_ms:.2f}ms",
-            file=out,
-        )
+def _print_trace_section(heading, tracer, lines, totals, out) -> None:
+    """A ``--trace`` section: heading, one line per row, totals."""
+    source = "tracing enabled" if tracer is not None else "folded from worker traces"
+    print(f"{heading} ({source})", file=out)
+    for line in lines:
+        print(line, file=out)
     print(
-        f"  totals: events={registry.counter_value('sim.events')}"
-        f" messages={registry.counter_value('net.messages')}"
-        f" dropped={registry.counter_value('net.packets_dropped')}"
-        f" bytes={registry.counter_value('net.bytes')}",
+        "  totals: " + " ".join(f"{label}={value}" for label, value in totals),
         file=out,
     )
     print(file=out)
@@ -292,181 +432,147 @@ def _print_provenance_section(tracer, out) -> None:
     print(file=out)
 
 
-def _fold_counters(parts) -> Dict[str, int]:
-    """Sum per-worker counter snapshots into one totals mapping."""
-    totals: Dict[str, int] = {}
-    for part in parts:
-        for name, value in part.counters.items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
+# ----------------------------------------------------------------------
+# report / tables / figures / sweeps
+# ----------------------------------------------------------------------
 
 
-def _print_folded_trace_section(summaries, sweep_results, out) -> None:
-    """The ``--trace`` section for parallel runs.
+def _report_risk(jobs: int):
+    """``report --risk``: the G-series over the paper's experiment specs."""
+    from repro.risk import DEFAULT_PROFILE
 
-    Worker processes cannot append to the parent's tracer, so each
-    worker captures locally and returns wall time, span counts, and
-    counter snapshots; this prints the same per-experiment rows as the
-    serial section from those folded metrics (figures, which run in the
-    parent untraced, are not included in the totals).
+    return (
+        harness.risk_summaries(
+            jobs=jobs, scenario_ids=[spec.id for spec in experiment_specs()]
+        ),
+        harness.risk_sweep(jobs=jobs),
+        DEFAULT_PROFILE,
+    )
+
+
+def _experiment_document(summary) -> dict:
+    from repro.core.serialize import experiment_report_to_dict
+
+    row = experiment_report_to_dict(summary.report)
+    row["verdict_decoupled"] = summary.verdict_decoupled
+    row["grade"] = summary.grade
+    row["observations"] = summary.observations
+    if summary.sim_seconds is not None:
+        row["sim_seconds"] = summary.sim_seconds
+        row["events"] = summary.events
+        row["messages"] = summary.messages
+        row["bytes"] = summary.bytes
+    return row
+
+
+def _report(args, out) -> int:
+    """``report``: every paper artifact, as text or one JSON document.
+
+    Tables, figures and sweeps run in that order, under one capture
+    when ``--trace`` is serial; both output forms read the same runs.
     """
-    print("Per-experiment timing / metrics (folded from worker traces)", file=out)
-    for summary in summaries:
-        print(
-            f"  {summary.experiment_id:<4}"
-            f" {summary.title[:42]:<42}"
-            f" wall={summary.wall_ms:8.2f}ms sim={summary.sim_seconds or 0.0:8.4f}s"
-            f" spans={summary.spans:>4}"
-            f" events={summary.events if summary.events is not None else '-':>5}"
-            f" messages={summary.messages if summary.messages is not None else '-':>4}"
-            f" bytes={summary.bytes if summary.bytes is not None else '-':>7}"
-            f" observations={summary.observations:>4}",
-            file=out,
-        )
-    totals = _fold_counters([*summaries, *sweep_results])
-    spans = sum(s.spans + 1 for s in summaries)
-    print(
-        f"  totals: spans={spans}"
-        f" events={totals.get('sim.events', 0)}"
-        f" messages={totals.get('net.messages', 0)}"
-        f" dropped={totals.get('net.packets_dropped', 0)}"
-        f" bytes={totals.get('net.bytes', 0)}"
-        f" observations={totals.get('ledger.observations', 0)}",
-        file=out,
-    )
-    print(file=out)
+    with _capture(args.trace, args.jobs) as (tracer, registry):
+        summaries = harness.table_summaries(jobs=args.jobs)
+        figures = _figure_series()
+        sweep_results = harness.sweep_results(jobs=args.jobs)
+    all_match = all(summary.report.matches for summary in summaries)
+    payloads = _sweep_payloads(sweep_results)
+    if args.trace:
+        rows = _experiment_rows(tracer, summaries)
+        counters = _trace_counters(registry, [*summaries, *sweep_results])
+    if args.json:
+        from repro.core.serialize import degree_sweep_to_dict
 
-
-def _print_folded_sweep_trace_section(sweep_results, out) -> None:
-    """``sweeps --trace --jobs N``: per-sweep timing from worker metrics."""
-    by_sweep: Dict[str, list] = {}
-    for result in sweep_results:
-        # D3u/D3p are halves of the paper's D3; fold them back together
-        # so the section keys match the serial (span-derived) one.
-        key = "D3" if result.key.startswith("D3") else result.key
-        by_sweep.setdefault(key, []).append(result)
-    print("Per-sweep timing (folded from worker traces)", file=out)
-    for sweep in sorted(by_sweep):
-        parts = by_sweep[sweep]
-        wall_ms = sum(part.wall_ms for part in parts)
-        points = sum(part.points for part in parts)
-        print(f"  {sweep}: points={points} wall={wall_ms:.2f}ms", file=out)
-    totals = _fold_counters(sweep_results)
-    print(
-        f"  totals: events={totals.get('sim.events', 0)}"
-        f" messages={totals.get('net.messages', 0)}"
-        f" dropped={totals.get('net.packets_dropped', 0)}"
-        f" bytes={totals.get('net.bytes', 0)}",
-        file=out,
-    )
-    print(file=out)
-
-
-def _experiment_timing_rows(tracer) -> list:
-    counts = _spans_per_experiment(tracer)
-    rows = []
-    for span in tracer.by_name("experiment"):
-        attrs = span.attributes
-        rows.append(
-            {
-                "experiment_id": attrs.get("experiment"),
-                "wall_ms": (span.wall_seconds or 0.0) * 1000.0,
-                "sim_seconds": span.sim_duration,
-                "spans": counts.get(span.span_id, 0),
-                "events": attrs.get("events"),
-                "messages": attrs.get("messages"),
-                "bytes": attrs.get("bytes"),
-                "observations": attrs.get("observations"),
-            }
-        )
-    return rows
-
-
-def _report_json(out, trace: bool = False, jobs: int = 1, risk: bool = False) -> int:
-    """``report --json``: machine-readable tables, sweeps, figures."""
-    from repro.core.serialize import degree_sweep_to_dict, experiment_report_to_dict
-
-    def build():
-        all_match = True
-        experiments = []
-        summaries = harness.table_summaries(jobs=jobs)
-        for summary in summaries:
-            row = experiment_report_to_dict(summary.report)
-            row["verdict_decoupled"] = summary.verdict_decoupled
-            row["grade"] = summary.grade
-            row["observations"] = summary.observations
-            if summary.sim_seconds is not None:
-                row["sim_seconds"] = summary.sim_seconds
-                row["events"] = summary.events
-                row["messages"] = summary.messages
-                row["bytes"] = summary.bytes
-            experiments.append(row)
-            all_match &= summary.report.matches
-        sweep_results = harness.sweep_results(jobs=jobs)
-        payloads = _sweep_payload_map(sweep_results)
         document = {
-            "experiments": experiments,
+            "experiments": [_experiment_document(s) for s in summaries],
             "figures": {
-                "F1": [step.render() for step in harness.figure_f1_series()],
-                "F2": [step.render() for step in harness.figure_f2_series()],
+                key: [step.render() for step in steps]
+                for key, steps in figures.items()
             },
             "sweeps": {
                 "D1": degree_sweep_to_dict(payloads["D1"]),
                 "D2": degree_sweep_to_dict(payloads["D2"]),
-                "D3": {
-                    "unpadded": payloads["D3u"],
-                    "padded": payloads["D3p"],
-                },
+                "D3": {"unpadded": payloads["D3u"], "padded": payloads["D3p"]},
                 "D4": payloads["D4"],
                 "D5": payloads["D5"],
                 "D6": payloads["D6"],
             },
         }
-        return all_match, document, summaries, sweep_results
-
-    if trace and jobs <= 1:
-        with obs.capture() as (tracer, registry):
-            all_match, document, _, _ = build()
-        document["timing"] = _experiment_timing_rows(tracer)
-        document["metrics"] = registry.snapshot()
-    elif trace:
-        all_match, document, summaries, sweep_results = build()
-        document["timing"] = [
-            {
-                "experiment_id": s.experiment_id,
-                "wall_ms": s.wall_ms,
-                "sim_seconds": s.sim_seconds,
-                "spans": s.spans,
-                "events": s.events,
-                "messages": s.messages,
-                "bytes": s.bytes,
-                "observations": s.observations,
-            }
-            for s in summaries
-        ]
-        document["metrics"] = [
-            {"type": "counter", "name": name, "value": value}
-            for name, value in sorted(
-                _fold_counters([*summaries, *sweep_results]).items()
+        if args.trace:
+            document["timing"] = [
+                {key: value for key, value in row.items() if key != "title"}
+                for row in rows
+            ]
+            document["metrics"] = (
+                registry.snapshot()
+                if registry is not None
+                else [
+                    {"type": "counter", "name": name, "value": value}
+                    for name, value in sorted(counters.items())
+                ]
             )
-        ]
-    else:
-        all_match, document, _, _ = build()
-    if risk:
-        from repro.risk import DEFAULT_PROFILE
-
-        document["risk"] = _risk_document(
-            harness.risk_summaries(
-                jobs=jobs,
-                scenario_ids=[spec.id for spec in experiment_specs()],
-            ),
-            harness.risk_sweep(jobs=jobs),
-            DEFAULT_PROFILE,
+        if args.risk:
+            document["risk"] = _risk_document(*_report_risk(args.jobs))
+        document["all_match"] = all_match
+        _print_json(document, out)
+        return 0 if all_match else 1
+    _print_table_summaries(summaries, out)
+    _print_figures(figures, out)
+    _print_sweep_payloads(payloads, out)
+    if args.trace:
+        spans = (
+            len(tracer.spans)
+            if tracer is not None
+            else sum(s.spans + 1 for s in summaries)
         )
-    document["all_match"] = all_match
-    json.dump(document, out, ensure_ascii=False, indent=2)
-    print(file=out)
+        _print_trace_section(
+            "Per-experiment timing / metrics",
+            tracer,
+            [_experiment_line(row) for row in rows],
+            [("spans", spans)]
+            + [(label, counters.get(name, 0)) for label, name in _TOTALS],
+            out,
+        )
+        if tracer is not None:
+            _print_provenance_section(tracer, out)
+    if args.risk:
+        _print_risk(*_report_risk(args.jobs), out)
+    print(
+        "ALL PAPER TABLES REPRODUCED EXACTLY" if all_match else "SOME TABLES MISMATCHED",
+        file=out,
+    )
     return 0 if all_match else 1
+
+
+def _tables(args, out) -> int:
+    summaries = harness.table_summaries(jobs=args.jobs)
+    return 0 if _print_table_summaries(summaries, out) else 1
+
+
+def _figures(args, out) -> int:
+    _print_figures(_figure_series(), out)
+    return 0
+
+
+def _sweeps(args, out) -> int:
+    with _capture(args.trace, args.jobs) as (tracer, registry):
+        sweep_results = harness.sweep_results(jobs=args.jobs)
+    _print_sweep_payloads(_sweep_payloads(sweep_results), out)
+    if args.trace:
+        counters = _trace_counters(registry, sweep_results)
+        _print_trace_section(
+            "Per-sweep timing",
+            tracer,
+            _sweep_lines(tracer, sweep_results),
+            [(label, counters.get(name, 0)) for label, name in _TOTALS[:4]],
+            out,
+        )
+    return 0
+
+
+# ----------------------------------------------------------------------
+# one demo: demo / trace / profile / explain / timeline
+# ----------------------------------------------------------------------
 
 
 def _obs_sampler(mode, sample, seed):
@@ -481,23 +587,14 @@ def _obs_sampler(mode, sample, seed):
     )
 
 
-def _run_trace(
-    name: str,
-    out_path: str,
-    out,
-    faults=None,
-    mode=None,
-    sample=None,
-    seed=None,
-) -> int:
+def _trace(args, out) -> int:
     """``trace NAME``: one traced demo run, exported as JSONL."""
-    runner = _resolve_demo(name, out, faults=faults)
-    if runner is None:
-        return 2
-    sampler = _obs_sampler(mode, sample, seed)
-    with obs.capture(mode=mode, sampler=sampler) as (tracer, registry):
+    name, out_path = args.name, args.out_path
+    _check_demo(name)
+    sampler = _obs_sampler(args.obs_mode, args.obs_sample, args.obs_seed)
+    with obs.capture(mode=args.obs_mode, sampler=sampler) as (tracer, registry):
         with tracer.span("demo", kind="demo", sim_time=0.0, demo=name) as root:
-            run = runner()
+            run = run_scenario(name, faults=args.faults)
             network = getattr(run, "network", None)
             if network is not None:
                 root.end_sim(network.simulator.now)
@@ -513,8 +610,7 @@ def _run_trace(
     try:
         lines = obs_export.write_jsonl(out_path, tracer, registry, graph)
     except OSError as error:
-        print(f"cannot write {out_path}: {error}", file=out)
-        return 1
+        raise _Exit(1, f"cannot write {out_path}: {error}") from None
     print(
         f"traced demo {name!r}: {len(tracer.spans)} spans,"
         f" {registry.counter_value('sim.events')} events,"
@@ -562,17 +658,7 @@ def _segment_span_dicts(segments) -> List[dict]:
     return records
 
 
-def _run_profile(
-    name: str,
-    out,
-    mode: str = "off",
-    sample=None,
-    seed=None,
-    repeats: int = 1,
-    as_json: bool = False,
-    out_path: Optional[str] = None,
-    trace_dir: Optional[str] = None,
-) -> int:
+def _profile(args, out) -> int:
     """``profile NAME``: per-phase wall times under one obs tier.
 
     Steps the scenario through ``build -> drive -> settle -> analyze``
@@ -589,19 +675,19 @@ def _run_profile(
     from repro.scenario import PHASES
     from repro.scenario.spec import ScenarioError, get_spec
 
+    name, mode, repeats = args.name, args.obs_mode or "off", max(args.repeats, 1)
     try:
         spec = get_spec(name)
     except ScenarioError as error:
-        print(error, file=out)
-        return 2
-    sampler = _obs_sampler(mode, sample, seed)
+        raise _Exit(2, str(error)) from None
+    sampler = _obs_sampler(mode, args.obs_sample, args.obs_seed)
     best: Dict[str, float] = {}
     document: Dict[str, object] = {}
-    for _repeat in range(max(repeats, 1)):
+    for _repeat in range(repeats):
         run_sampler = sampler.fresh() if sampler is not None else None
         writer = (
-            obs_export.StreamingWriter(trace_dir, ring=32)
-            if trace_dir is not None
+            obs_export.StreamingWriter(args.trace_dir, ring=32)
+            if args.trace_dir is not None
             else None
         )
         phase_ms: Dict[str, float] = {}
@@ -630,7 +716,7 @@ def _run_profile(
         document = {
             "scenario": name,
             "obs_mode": mode,
-            "repeats": max(repeats, 1),
+            "repeats": repeats,
             "phase_ms": {phase: round(best[phase], 3) for phase in PHASES},
             "total_ms": round(sum(best.values()), 3),
             "events": registry.counter_value("sim.events"),
@@ -649,19 +735,16 @@ def _run_profile(
             }
         if manifest is not None:
             document["trace"] = manifest
-    if out_path is not None:
+    if args.out_path is not None:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, ensure_ascii=False, indent=2)
-                handle.write("\n")
+            with open(args.out_path, "w", encoding="utf-8") as handle:
+                _print_json(document, handle)
         except OSError as error:
-            print(f"cannot write {out_path}: {error}", file=out)
-            return 1
-    if as_json:
-        json.dump(document, out, ensure_ascii=False, indent=2)
-        print(file=out)
+            raise _Exit(1, f"cannot write {args.out_path}: {error}") from None
+    if args.json:
+        _print_json(document, out)
         return 0
-    print(f"profile {name!r} (obs-mode={mode}, repeats={max(repeats, 1)})", file=out)
+    print(f"profile {name!r} (obs-mode={mode}, repeats={repeats})", file=out)
     for phase in ("build", "drive", "settle", "analyze"):
         print(f"  {phase:<8} {document['phase_ms'][phase]:>10.3f}ms", file=out)
     print(f"  {'total':<8} {document['total_ms']:>10.3f}ms", file=out)
@@ -693,8 +776,9 @@ def _run_profile(
     return 0
 
 
-def _resolve_entity(graph, requested: str):
-    """Exact, then case-insensitive, then unique-substring match."""
+def _resolve_entity(graph, requested: str, name: str) -> str:
+    """Exact, then case-insensitive, then unique-substring match; an
+    exit 2 that lists demo ``name``'s entities when none matches."""
     names = graph.entities()
     if requested in names:
         return requested
@@ -705,22 +789,24 @@ def _resolve_entity(graph, requested: str):
     partial = [n for n in names if lowered in n.lower()]
     if len(partial) == 1:
         return partial[0]
-    return None
+    raise _Exit(
+        2,
+        f"unknown entity {requested!r} in demo {name!r};"
+        f" entities: {', '.join(names)}",
+    )
 
 
-def _traced_run(name: str, out, faults=None):
-    """Run one demo under capture; (run, tracer, graph) or None."""
-    runner = _resolve_demo(name, out, faults=faults)
-    if runner is None:
-        return None
+def _traced_run(name: str, faults=None):
+    """Run one demo under capture; (run, tracer, provenance graph)."""
+    _check_demo(name)
     from repro.obs import provenance
 
     with obs.capture() as (tracer, _registry):
-        run = runner()
+        run = run_scenario(name, faults=faults)
     return run, tracer, provenance.build_provenance(run, tracer)
 
 
-def _run_breach_explain(name: str, entity, out, faults=None) -> int:
+def _breach_explain(args, out) -> int:
     """``explain NAME --breach``: identity+data chains behind breaches.
 
     For every organization whose single-party breach couples a subject
@@ -729,10 +815,8 @@ def _run_breach_explain(name: str, entity, out, faults=None) -> int:
     shared link that couples them.  Under ``--faults`` this is how a
     fallback-induced breach is attributed to the degraded path.
     """
-    traced = _traced_run(name, out, faults=faults)
-    if traced is None:
-        return 2
-    run, _, graph = traced
+    name, entity = args.name, args.entity
+    run, _, graph = _traced_run(name, args.faults)
     reports = [r for r in run.analyzer.breach_reports() if not r.breach_proof]
     if entity:
         lowered = entity.lower()
@@ -755,27 +839,52 @@ def _run_breach_explain(name: str, entity, out, faults=None) -> int:
     return 0
 
 
-def _run_explain(name: str, entity: str, subject, fact, out, faults=None) -> int:
+def _risk_explain(args, out) -> int:
+    """``explain NAME --entity E --risk``: per-pair risk decompositions."""
+    from repro.risk import RiskError, score_run
+
+    name = args.name
+    run, _, graph = _traced_run(name, args.faults)
+    if not args.entity:
+        raise _Exit(2, "explain --risk requires --entity")
+    resolved = _resolve_entity(graph, args.entity, name)
+    report = score_run(run, graph=graph)
+    if args.subject is not None:
+        subjects = [args.subject]
+    else:
+        subjects = [p.subject for p in report.pairs if p.entity == resolved]
+    if not subjects:
+        print(f"{resolved} observed nothing; no pairs to decompose", file=out)
+        return 0
+    print(f"risk decomposition for {resolved!r} in demo {name!r}:", file=out)
+    print(file=out)
+    for subject_name in subjects:
+        try:
+            decomposition = report.why(resolved, subject_name)
+        except RiskError as error:
+            raise _Exit(1, f"error: {error}") from None
+        print(decomposition.render(), file=out)
+        print(file=out)
+    return 0
+
+
+def _explain(args, out) -> int:
     """``explain NAME --entity E``: causal chains behind E's knowledge."""
     from repro.obs.provenance import ProvenanceError
 
-    traced = _traced_run(name, out, faults=faults)
-    if traced is None:
-        return 2
-    _, _, graph = traced
-    resolved = _resolve_entity(graph, entity)
-    if resolved is None:
-        print(
-            f"unknown entity {entity!r} in demo {name!r};"
-            f" entities: {', '.join(graph.entities())}",
-            file=out,
-        )
-        return 2
+    if args.risk:
+        return _risk_explain(args, out)
+    if args.breach:
+        return _breach_explain(args, out)
+    if not args.entity:
+        raise _Exit(2, "explain requires --entity (or --breach)")
+    name, fact = args.name, args.fact
+    _, _, graph = _traced_run(name, args.faults)
+    resolved = _resolve_entity(graph, args.entity, name)
     try:
-        chains = graph.why(resolved, fact, subject=subject)
+        chains = graph.why(resolved, fact, subject=args.subject)
     except ProvenanceError as error:
-        print(f"error: {error}", file=out)
-        return 1
+        raise _Exit(1, f"error: {error}") from None
     what = f"fact {fact!r}" if fact is not None else "every sensitive fact"
     print(f"why {resolved!r} holds {what} in demo {name!r}:", file=out)
     print(file=out)
@@ -785,30 +894,27 @@ def _run_explain(name: str, entity: str, subject, fact, out, faults=None) -> int
     return 0
 
 
-def _run_timeline(name: str, out, faults=None) -> int:
+def _timeline(args, out) -> int:
     """``timeline NAME``: when each entity's knowledge tuple grew."""
-    traced = _traced_run(name, out, faults=faults)
-    if traced is None:
-        return 2
-    _, _, graph = traced
+    _, _, graph = _traced_run(args.name, args.faults)
     from repro.obs import provenance
 
     events = graph.knowledge_timeline()
-    print(f"knowledge timeline of demo {name!r} ({len(events)} growth steps):", file=out)
+    print(
+        f"knowledge timeline of demo {args.name!r} ({len(events)} growth steps):",
+        file=out,
+    )
     print(provenance.render_timeline(events), file=out)
     return 0
 
 
-def _run_demo(name: str, out, as_json: bool = False, faults=None) -> int:
-    runner = _resolve_demo(name, out, faults=faults)
-    if runner is None:
-        return 2
-    run = runner()
-    if as_json:
+def _demo(args, out) -> int:
+    _check_demo(args.name)
+    run = run_scenario(args.name, faults=args.faults)
+    if args.json:
         from repro.core.serialize import scenario_run_to_dict
 
-        json.dump(scenario_run_to_dict(run), out, ensure_ascii=False, indent=2)
-        print(file=out)
+        _print_json(scenario_run_to_dict(run), out)
         return 0
     print(run.table().render(), file=out)
     print(run.analyzer.verdict(), file=out)
@@ -855,22 +961,29 @@ def _print_fault_summary(run, out) -> None:
         print(f"  phase error: {error}", file=out)
 
 
-def _resilience_document(points, rates, seed: int) -> Dict[str, object]:
-    """The R-series sweep as a machine-readable document."""
-    return {
-        "series": "R",
-        "seed": seed,
-        "rates": list(rates),
-        "points": [point.to_dict() for point in points],
-        "verdict_flips": [
-            {"scenario": p.scenario, "rate": p.rate}
-            for p in points
-            if not p.verdict_stable
-        ],
-    }
+def _demos(args, out) -> int:
+    """``demos``: every registered scenario, with schema and provenance."""
+    for spec in all_specs():
+        experiment = f"  [{spec.experiment_id}]" if spec.experiment_id else ""
+        print(f"{spec.id:<16} {spec.title}{experiment}", file=out)
+        for param in spec.params:
+            doc = f"  -- {param.doc}" if param.doc else ""
+            print(f"    {param.name}={param.default!r}{doc}", file=out)
+    return 0
 
 
-def _print_resilience(points, rates, seed: int, out) -> None:
+def _list(args, out) -> int:
+    for name in _spec_ids():
+        print(name, file=out)
+    return 0
+
+
+# ----------------------------------------------------------------------
+# the series verbs: resilience / risk / scale / privcount
+# ----------------------------------------------------------------------
+
+
+def _print_resilience(points, seed: int, out) -> None:
     """Render the R-series table: delivery and verdict stability."""
     print(
         f"R-series: decoupling verdicts under failure"
@@ -907,72 +1020,36 @@ def _print_resilience(points, rates, seed: int, out) -> None:
     print(file=out)
 
 
-def _run_resilience(
-    out,
-    rates,
-    scenarios,
-    seed: int,
-    jobs: int,
-    as_json: bool,
-    out_path,
-) -> int:
+def _resilience(args, out) -> int:
     """``resilience``: the R-series sweep over the scenario registry."""
-    scenario_ids = None
-    if scenarios:
-        _register_demos()
-        scenario_ids = [name.strip() for name in scenarios.split(",") if name.strip()]
-        unknown = sorted(set(scenario_ids) - set(_DEMOS))
-        if unknown:
-            print(
-                f"unknown scenario(s): {', '.join(unknown)};"
-                f" try: {', '.join(sorted(_DEMOS))}",
-                file=out,
-            )
-            return 2
+    scenario_ids = _scenario_ids(args.scenarios)
     try:
-        rate_values = tuple(float(r) for r in rates.split(","))
+        rates = tuple(float(r) for r in args.rates.split(","))
     except ValueError:
-        print(f"invalid --rates {rates!r}: expected comma-separated floats", file=out)
-        return 2
+        raise _Exit(
+            2, f"invalid --rates {args.rates!r}: expected comma-separated floats"
+        ) from None
     points = harness.resilience_sweep(
-        rates=rate_values, scenario_ids=scenario_ids, seed=seed, jobs=jobs
+        rates=rates, scenario_ids=scenario_ids, seed=args.seed, jobs=args.jobs
     )
-    if out_path:
-        document = _resilience_document(points, rate_values, seed)
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, ensure_ascii=False, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"cannot write {out_path!r}: {error}", file=out)
-            return 1
-        print(f"resilience sweep: {len(points)} points -> {out_path}", file=out)
-    if as_json:
-        json.dump(_resilience_document(points, rate_values, seed), out,
-                  ensure_ascii=False, indent=2)
-        print(file=out)
-    elif not out_path:
-        _print_resilience(points, rate_values, seed, out)
-    return 0
-
-
-def _load_sensitivity_profile(path, out):
-    """Load a JSON sensitivity profile; ``None`` on error, with a message.
-
-    A missing ``path`` (no ``--profile``) returns the default profile.
-    """
-    from repro.risk import DEFAULT_PROFILE, ProfileError, load_profile
-
-    if not path:
-        return DEFAULT_PROFILE
-    try:
-        return load_profile(path)
-    except OSError as error:
-        print(f"cannot read profile {path!r}: {error}", file=out)
-        return None
-    except ProfileError as error:
-        print(f"invalid profile {path!r}: {error}", file=out)
-        return None
+    document = {
+        "series": "R",
+        "seed": args.seed,
+        "rates": list(rates),
+        "points": [point.to_dict() for point in points],
+        "verdict_flips": [
+            {"scenario": p.scenario, "rate": p.rate}
+            for p in points
+            if not p.verdict_stable
+        ],
+    }
+    return _emit(
+        args,
+        out,
+        document,
+        f"resilience sweep: {len(points)} points",
+        functools.partial(_print_resilience, points, args.seed),
+    )
 
 
 def _risk_document(summaries, sweeps, profile, deltas=None) -> Dict[str, object]:
@@ -1076,75 +1153,34 @@ def _print_risk(summaries, sweeps, profile, out, deltas=None) -> None:
         print(file=out)
 
 
-def _run_risk(
-    out,
-    scenarios,
-    jobs: int,
-    as_json: bool,
-    out_path,
-    faults_plan=None,
-    profile_path=None,
-) -> int:
+def _risk(args, out) -> int:
     """``risk``: the G-series over the scenario registry."""
-    profile = _load_sensitivity_profile(profile_path, out)
-    if profile is None:
-        return 2
-    scenario_ids = None
-    if scenarios:
-        _register_demos()
-        scenario_ids = [name.strip() for name in scenarios.split(",") if name.strip()]
-        unknown = sorted(set(scenario_ids) - set(_DEMOS))
-        if unknown:
-            print(
-                f"unknown scenario(s): {', '.join(unknown)};"
-                f" try: {', '.join(sorted(_DEMOS))}",
-                file=out,
-            )
-            return 2
+    profile = _load_sensitivity_profile(args.profile_path)
+    scenario_ids = _scenario_ids(args.scenarios)
     summaries = harness.risk_summaries(
-        jobs=jobs, scenario_ids=scenario_ids, profile=profile
+        jobs=args.jobs, scenario_ids=scenario_ids, profile=profile
     )
     # The degree sweeps belong to the full G-series document; a
     # --scenarios subset is a focused query, so they are skipped.
-    sweeps = harness.risk_sweep(jobs=jobs, profile=profile) if scenario_ids is None else None
+    sweeps = (
+        harness.risk_sweep(jobs=args.jobs, profile=profile)
+        if scenario_ids is None
+        else None
+    )
     deltas = None
-    if faults_plan is not None:
+    if args.faults is not None:
         ids = scenario_ids or [summary.scenario for summary in summaries]
         deltas = [
-            harness.risk_delta(scenario_id, faults_plan, profile)
+            harness.risk_delta(scenario_id, args.faults, profile)
             for scenario_id in ids
         ]
-    if out_path:
-        document = _risk_document(summaries, sweeps, profile, deltas)
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, ensure_ascii=False, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"cannot write {out_path!r}: {error}", file=out)
-            return 1
-        print(f"risk report: {len(summaries)} scenarios -> {out_path}", file=out)
-    if as_json:
-        json.dump(
-            _risk_document(summaries, sweeps, profile, deltas),
-            out,
-            ensure_ascii=False,
-            indent=2,
-        )
-        print(file=out)
-    elif not out_path:
-        _print_risk(summaries, sweeps, profile, out, deltas)
-    return 0
-
-
-def _scale_document(points) -> dict:
-    return {
-        "series": "T",
-        "title": (
-            "ledger ingest: streaming ledger + population engine scale points"
-        ),
-        "points": [point.to_dict() for point in points],
-    }
+    return _emit(
+        args,
+        out,
+        _risk_document(summaries, sweeps, profile, deltas),
+        f"risk report: {len(summaries)} scenarios",
+        functools.partial(_print_risk, summaries, sweeps, profile, deltas=deltas),
+    )
 
 
 def _print_scale(points, out) -> None:
@@ -1164,60 +1200,31 @@ def _print_scale(points, out) -> None:
         )
 
 
-def _run_scale(
-    out,
-    users,
-    observations,
-    jobs: int,
-    segment_rows,
-    spill: bool,
-    checkpoints: int,
-    seed: int,
-    as_json: bool,
-    out_path,
-) -> int:
+def _scale(args, out) -> int:
     """``scale``: the T-series streaming-scale workload."""
-    user_counts = [int(n.strip()) for n in str(users).split(",") if n.strip()]
-    if not user_counts:
-        print("scale needs at least one --users count", file=out)
-        return 2
-    if len(user_counts) == 1:
-        points = [
-            harness.scale_point(
-                user_counts[0],
-                observations,
-                seed=seed,
-                segment_rows=segment_rows,
-                spill=spill,
-                checkpoints=checkpoints,
-            )
-        ]
-    else:
-        points = harness.scale_sweep(user_counts, seed=seed, jobs=jobs)
-    document = _scale_document(points)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, ensure_ascii=False, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"cannot write {out_path!r}: {error}", file=out)
-            return 1
-        print(f"scale report: {len(points)} points -> {out_path}", file=out)
-    if as_json:
-        json.dump(document, out, ensure_ascii=False, indent=2)
-        print(file=out)
-    elif not out_path:
-        _print_scale(points, out)
-    return 0 if all(point.mid_run_matches for point in points) else 1
-
-
-def _privcount_document(points) -> dict:
-    return {
-        "series": "P",
-        "title": "PrivCount reconstruction threshold vs deployment shape",
+    (user_counts,) = _count_grids("scale", ("users", args.users))
+    points = harness.scale_sweep(
+        user_counts,
+        args.observations,
+        seed=args.seed,
+        segment_rows=args.segment_rows,
+        spill=not args.no_spill,
+        checkpoints=max(args.checkpoints, 1),
+        jobs=args.jobs,
+    )
+    document = {
+        "series": "T",
+        "title": "ledger ingest: streaming ledger + population engine scale points",
         "points": [point.to_dict() for point in points],
     }
+    return _emit(
+        args,
+        out,
+        document,
+        f"scale report: {len(points)} points",
+        functools.partial(_print_scale, points),
+        ok=all(point.mid_run_matches for point in points),
+    )
 
 
 def _print_privcount(points, out) -> None:
@@ -1236,103 +1243,79 @@ def _print_privcount(points, out) -> None:
         )
 
 
-def _run_privcount(
-    out,
-    collectors,
-    share_keepers,
-    users: int,
-    jobs: int,
-    as_json: bool,
-    out_path,
-) -> int:
+def _privcount(args, out) -> int:
     """``privcount``: the P-series reconstruction-threshold sweep."""
-
-    def _parse_grid(text, label):
-        counts = [int(n.strip()) for n in str(text).split(",") if n.strip()]
-        if not counts:
-            print(f"privcount needs at least one --{label} count", file=out)
-            return None
-        return counts
-
-    collector_counts = _parse_grid(collectors, "collectors")
-    keeper_counts = _parse_grid(share_keepers, "share-keepers")
-    if collector_counts is None or keeper_counts is None:
-        return 2
-    points = harness.privcount_sweep(
-        collectors=collector_counts,
-        share_keepers=keeper_counts,
-        users=users,
-        jobs=jobs,
+    collectors, share_keepers = _count_grids(
+        "privcount",
+        ("collectors", args.collectors),
+        ("share-keepers", args.share_keepers),
     )
-    document = _privcount_document(points)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, ensure_ascii=False, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(f"cannot write {out_path!r}: {error}", file=out)
-            return 1
-        print(
-            f"privcount report: {len(points)} points -> {out_path}", file=out
-        )
-    if as_json:
-        json.dump(document, out, ensure_ascii=False, indent=2)
-        print(file=out)
-    elif not out_path:
-        _print_privcount(points, out)
-    return 0 if all(point.threshold_matches for point in points) else 1
+    points = harness.privcount_sweep(
+        collectors=collectors,
+        share_keepers=share_keepers,
+        users=args.users,
+        jobs=args.jobs,
+    )
+    document = {
+        "series": "P",
+        "title": "PrivCount reconstruction threshold vs deployment shape",
+        "points": [point.to_dict() for point in points],
+    }
+    return _emit(
+        args,
+        out,
+        document,
+        f"privcount report: {len(points)} points",
+        functools.partial(_print_privcount, points),
+        ok=all(point.threshold_matches for point in points),
+    )
 
 
-def _run_risk_explain(name: str, entity, subject, out, faults=None) -> int:
-    """``explain NAME --entity E --risk``: per-pair risk decompositions."""
-    from repro.risk import RiskError, score_run
+# ----------------------------------------------------------------------
+# the parser
+# ----------------------------------------------------------------------
 
-    traced = _traced_run(name, out, faults=faults)
-    if traced is None:
-        return 2
-    run, _, graph = traced
-    if not entity:
-        print("explain --risk requires --entity", file=out)
-        return 2
-    resolved = _resolve_entity(graph, entity)
-    if resolved is None:
-        print(
-            f"unknown entity {entity!r} in demo {name!r};"
-            f" entities: {', '.join(graph.entities())}",
-            file=out,
-        )
-        return 2
-    report = score_run(run, graph=graph)
-    if subject is not None:
-        subjects = [subject]
-    else:
-        subjects = [p.subject for p in report.pairs if p.entity == resolved]
-    if not subjects:
-        print(f"{resolved} observed nothing; no pairs to decompose", file=out)
-        return 0
-    print(f"risk decomposition for {resolved!r} in demo {name!r}:", file=out)
-    print(file=out)
-    for subject_name in subjects:
-        try:
-            decomposition = report.why(resolved, subject_name)
-        except RiskError as error:
-            print(f"error: {error}", file=out)
-            return 1
-        print(decomposition.render(), file=out)
-        print(file=out)
-    return 0
-
-
-def _run_demos_listing(out) -> int:
-    """``demos``: every registered scenario, with schema and provenance."""
-    for spec in all_specs():
-        experiment = f"  [{spec.experiment_id}]" if spec.experiment_id else ""
-        print(f"{spec.id:<16} {spec.title}{experiment}", file=out)
-        for param in spec.params:
-            doc = f"  -- {param.doc}" if param.doc else ""
-            print(f"    {param.name}={param.default!r}{doc}", file=out)
-    return 0
+#: Flags and arguments several verbs share, declared once each.
+_SHARED = {
+    "name": (("name",), dict(help="system name (see `list`)")),
+    "jobs": (
+        ("--jobs",),
+        dict(
+            type=int,
+            default=1,
+            metavar="N",
+            help="fan the runs across N worker processes",
+        ),
+    ),
+    "json": (
+        ("--json",),
+        dict(action="store_true", help="emit a machine-readable document instead of text"),
+    ),
+    "out": (
+        ("--out",),
+        dict(
+            default=None,
+            dest="out_path",
+            metavar="PATH",
+            help="also write the JSON document to PATH",
+        ),
+    ),
+    "faults": (
+        ("--faults",),
+        dict(
+            default=None,
+            metavar="PLAN",
+            help="run under a JSON fault plan (see docs/ROBUSTNESS.md)",
+        ),
+    ),
+    "scenarios": (
+        ("--scenarios",),
+        dict(
+            default=None,
+            help="comma-separated scenario ids (default: every registered spec)",
+        ),
+    ),
+}
 
 
 def _add_obs_args(parser, mode_help: str) -> None:
@@ -1365,112 +1348,72 @@ def _add_obs_args(parser, mode_help: str) -> None:
     )
 
 
-def main(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="The Decoupling Principle, made executable (HotNets '22 reproduction)",
     )
     sub = parser.add_subparsers(dest="command")
-    report = sub.add_parser("report", help="regenerate every paper artifact")
+
+    def verb(name, handler, help, *shared):
+        """Add verb ``name`` with its ``shared`` flags, dispatching to ``handler``."""
+        verb_parser = sub.add_parser(name, help=help)
+        for flag in shared:
+            names, options = _SHARED[flag]
+            verb_parser.add_argument(*names, **options)
+        verb_parser.set_defaults(handler=handler)
+        return verb_parser
+
+    report = verb("report", _report, "regenerate every paper artifact", "json", "jobs")
     report.add_argument(
         "--trace",
         action="store_true",
         help="trace the runs and append a per-experiment timing/metrics section",
     )
     report.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable table/sweep results instead of text",
-    )
-    report.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan experiments and sweeps across N worker processes",
-    )
-    report.add_argument(
         "--risk",
         action="store_true",
         help="append the G-series graded-decoupling risk section",
     )
-    tables = sub.add_parser("tables", help="the T-series knowledge tables")
-    tables.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan table experiments across N worker processes",
-    )
-    sub.add_parser("figures", help="the F-series flow figures")
-    sweeps = sub.add_parser("sweeps", help="the D-series degree sweeps")
+    verb("tables", _tables, "the T-series knowledge tables", "jobs")
+    verb("figures", _figures, "the F-series flow figures")
+    sweeps = verb("sweeps", _sweeps, "the D-series degree sweeps", "jobs")
     sweeps.add_argument(
         "--trace",
         action="store_true",
         help="trace the runs and append a per-sweep timing section",
     )
-    sweeps.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan D-series sweeps across N worker processes",
+    verb("demo", _demo, "run one system's scenario", "name", "json", "faults")
+    verb("demos", _demos, "list registered scenarios with titles and parameters")
+    trace = verb(
+        "trace",
+        _trace,
+        "run one demo with tracing on; export spans+metrics as JSONL",
+        "name",
+        "faults",
     )
-    faults_kwargs = dict(
-        default=None,
-        metavar="PLAN",
-        help="run under a JSON fault plan (see docs/ROBUSTNESS.md)",
-    )
-    demo = sub.add_parser("demo", help="run one system's scenario")
-    demo.add_argument("name", help="system name (see `demos`)")
-    demo.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the run as a machine-readable document",
-    )
-    demo.add_argument("--faults", **faults_kwargs)
-    sub.add_parser(
-        "demos", help="list registered scenarios with titles and parameters"
-    )
-    trace = sub.add_parser(
-        "trace", help="run one demo with tracing on; export spans+metrics as JSONL"
-    )
-    trace.add_argument("name", help="system name (see `list`)")
     trace.add_argument(
         "--out",
         default="spans.jsonl",
         dest="out_path",
         help="JSONL output path (default: spans.jsonl)",
     )
-    trace.add_argument("--faults", **faults_kwargs)
     _add_obs_args(trace, "capture mode (default: full; REPRO_OBS_MODE overrides)")
-    profile = sub.add_parser(
+    profile = verb(
         "profile",
-        help="time one demo phase-by-phase under an observability tier",
+        _profile,
+        "time one demo phase-by-phase under an observability tier",
+        "name",
+        "json",
+        "out",
     )
-    profile.add_argument("name", help="system name (see `list`)")
-    _add_obs_args(
-        profile, "observability tier to profile under (default: off)"
-    )
+    _add_obs_args(profile, "observability tier to profile under (default: off)")
     profile.add_argument(
         "--repeats",
         type=int,
         default=1,
         metavar="N",
         help="best-of-N per-phase timing (default: 1)",
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the profile as a machine-readable document",
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        dest="out_path",
-        metavar="PATH",
-        help="also write the JSON document to PATH",
     )
     profile.add_argument(
         "--trace-out",
@@ -1480,11 +1423,13 @@ def main(argv=None, out=None) -> int:
         help="stream spans to segmented JSONL files under DIR"
         " (bounded memory; see docs/OBSERVABILITY.md)",
     )
-    explain = sub.add_parser(
+    explain = verb(
         "explain",
-        help="trace one demo and explain an entity's knowledge from the wire up",
+        _explain,
+        "trace one demo and explain an entity's knowledge from the wire up",
+        "name",
+        "faults",
     )
-    explain.add_argument("name", help="system name (see `list`)")
     explain.add_argument(
         "--entity",
         default=None,
@@ -1515,77 +1460,40 @@ def main(argv=None, out=None) -> int:
         help="print the entity's per-pair risk decomposition instead:"
         " sub-score terms pinned to provenance chains (see docs/RISK.md)",
     )
-    explain.add_argument("--faults", **faults_kwargs)
-    timeline = sub.add_parser(
-        "timeline", help="trace one demo and print its knowledge-growth timeline"
+    verb(
+        "timeline",
+        _timeline,
+        "trace one demo and print its knowledge-growth timeline",
+        "name",
+        "faults",
     )
-    timeline.add_argument("name", help="system name (see `list`)")
-    timeline.add_argument("--faults", **faults_kwargs)
-    resilience = sub.add_parser(
+    resilience = verb(
         "resilience",
-        help="R-series: delivery and verdict stability under a fault-rate ramp",
+        _resilience,
+        "R-series: delivery and verdict stability under a fault-rate ramp",
+        "scenarios",
+        "jobs",
+        "json",
+        "out",
     )
+    rates = ",".join(str(r) for r in harness.DEFAULT_RESILIENCE_RATES)
     resilience.add_argument(
         "--rates",
-        default=",".join(str(r) for r in harness.DEFAULT_RESILIENCE_RATES),
-        help="comma-separated uniform loss rates"
-        f" (default: {','.join(str(r) for r in harness.DEFAULT_RESILIENCE_RATES)})",
-    )
-    resilience.add_argument(
-        "--scenarios",
-        default=None,
-        help="comma-separated scenario ids (default: every registered spec)",
+        default=rates,
+        help=f"comma-separated uniform loss rates (default: {rates})",
     )
     resilience.add_argument(
         "--seed", type=int, default=0, help="fault-plan seed (default: 0)"
     )
-    resilience.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan sweep cells across N worker processes",
-    )
-    resilience.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the sweep as a machine-readable document",
-    )
-    resilience.add_argument(
-        "--out",
-        default=None,
-        dest="out_path",
-        metavar="PATH",
-        help="also write the JSON document to PATH",
-    )
-    risk = sub.add_parser(
+    risk = verb(
         "risk",
-        help="G-series: graded decoupling risk scores and degree sweeps",
-    )
-    risk.add_argument(
-        "--scenarios",
-        default=None,
-        help="comma-separated scenario ids (default: every registered spec,"
-        " plus the G1/G2 degree sweeps)",
-    )
-    risk.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan scenarios and sweep cells across N worker processes",
-    )
-    risk.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the risk report as a machine-readable document",
-    )
-    risk.add_argument(
-        "--out",
-        default=None,
-        dest="out_path",
-        metavar="PATH",
-        help="also write the JSON document to PATH",
+        _risk,
+        "G-series: graded decoupling risk scores and degree sweeps",
+        "scenarios",
+        "jobs",
+        "json",
+        "out",
+        "faults",
     )
     risk.add_argument(
         "--profile",
@@ -1594,10 +1502,13 @@ def main(argv=None, out=None) -> int:
         metavar="PATH",
         help="JSON sensitivity profile (default: the built-in weights)",
     )
-    risk.add_argument("--faults", **faults_kwargs)
-    scale = sub.add_parser(
+    scale = verb(
         "scale",
-        help="T-series ledger ingest: streaming analysis at population scale",
+        _scale,
+        "T-series ledger ingest: streaming analysis at population scale",
+        "jobs",
+        "json",
+        "out",
     )
     scale.add_argument(
         "--users",
@@ -1611,13 +1522,6 @@ def main(argv=None, out=None) -> int:
         default=None,
         metavar="N",
         help="ledger rows to ingest (default: 10 per user)",
-    )
-    scale.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan sweep points across N worker processes",
     )
     scale.add_argument(
         "--segment-rows",
@@ -1639,21 +1543,13 @@ def main(argv=None, out=None) -> int:
         help="mid-run verdict checkpoints verified against a full scan",
     )
     scale.add_argument("--seed", type=int, default=7, help="population seed")
-    scale.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the scale report as a machine-readable document",
-    )
-    scale.add_argument(
-        "--out",
-        default=None,
-        dest="out_path",
-        metavar="PATH",
-        help="also write the JSON document to PATH",
-    )
-    privcount = sub.add_parser(
+    privcount = verb(
         "privcount",
-        help="P-series: reconstruction threshold vs deployment shape",
+        _privcount,
+        "P-series: reconstruction threshold vs deployment shape",
+        "jobs",
+        "json",
+        "out",
     )
     privcount.add_argument(
         "--collectors",
@@ -1674,179 +1570,23 @@ def main(argv=None, out=None) -> int:
         metavar="N",
         help="measured users per point",
     )
-    privcount.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan grid points across N worker processes",
-    )
-    privcount.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the P-series report as a machine-readable document",
-    )
-    privcount.add_argument(
-        "--out",
-        default=None,
-        dest="out_path",
-        metavar="PATH",
-        help="also write the JSON document to PATH",
-    )
-    sub.add_parser("list", help="list available demos")
+    verb("list", _list, "list available demos")
+    return parser
+
+
+def main(argv=None, out=None) -> int:
+    out = out if out is not None else sys.stdout
+    parser = _parser()
     args = parser.parse_args(argv)
-
-    faults_plan = None
-    if getattr(args, "faults", None):
-        faults_plan = _load_fault_plan(args.faults, out)
-        if faults_plan is None:
-            return 2
-
-    if args.command == "report":
-        jobs = max(getattr(args, "jobs", 1), 1)
-        if args.json:
-            return _report_json(out, trace=args.trace, jobs=jobs, risk=args.risk)
-        if args.trace and jobs <= 1:
-            with obs.capture() as (tracer, registry):
-                ok = _print_tables(out)
-                _print_figures(out)
-                _print_sweeps(out)
-            _print_trace_section(tracer, registry, out)
-            _print_provenance_section(tracer, out)
-        elif args.trace:
-            summaries = harness.table_summaries(jobs=jobs)
-            ok = _print_table_summaries(summaries, out)
-            _print_figures(out)
-            sweep_results = harness.sweep_results(jobs=jobs)
-            _print_sweep_payloads(_sweep_payload_map(sweep_results), out)
-            _print_folded_trace_section(summaries, sweep_results, out)
-        else:
-            ok = _print_tables(out, jobs=jobs)
-            _print_figures(out)
-            _print_sweeps(out, jobs=jobs)
-        if args.risk:
-            from repro.risk import DEFAULT_PROFILE
-
-            _print_risk(
-                harness.risk_summaries(
-                    jobs=jobs,
-                    scenario_ids=[spec.id for spec in experiment_specs()],
-                ),
-                harness.risk_sweep(jobs=jobs),
-                DEFAULT_PROFILE,
-                out,
-            )
-        print(
-            "ALL PAPER TABLES REPRODUCED EXACTLY" if ok else "SOME TABLES MISMATCHED",
-            file=out,
-        )
-        return 0 if ok else 1
-    if args.command == "tables":
-        return 0 if _print_tables(out, jobs=max(args.jobs, 1)) else 1
-    if args.command == "figures":
-        _print_figures(out)
-        return 0
-    if args.command == "sweeps":
-        jobs = max(args.jobs, 1)
-        if args.trace and jobs <= 1:
-            with obs.capture() as (tracer, registry):
-                _print_sweeps(out)
-            _print_sweep_trace_section(tracer, registry, out)
-        elif args.trace:
-            sweep_results = harness.sweep_results(jobs=jobs)
-            _print_sweep_payloads(_sweep_payload_map(sweep_results), out)
-            _print_folded_sweep_trace_section(sweep_results, out)
-        else:
-            _print_sweeps(out, jobs=jobs)
-        return 0
-    if args.command == "demo":
-        return _run_demo(args.name, out, as_json=args.json, faults=faults_plan)
-    if args.command == "demos":
-        return _run_demos_listing(out)
-    if args.command == "trace":
-        return _run_trace(
-            args.name,
-            args.out_path,
-            out,
-            faults=faults_plan,
-            mode=args.obs_mode,
-            sample=args.obs_sample,
-            seed=args.obs_seed,
-        )
-    if args.command == "profile":
-        return _run_profile(
-            args.name,
-            out,
-            mode=args.obs_mode or "off",
-            sample=args.obs_sample,
-            seed=args.obs_seed,
-            repeats=max(args.repeats, 1),
-            as_json=args.json,
-            out_path=args.out_path,
-            trace_dir=args.trace_dir,
-        )
-    if args.command == "explain":
-        if args.risk:
-            return _run_risk_explain(
-                args.name, args.entity, args.subject, out, faults=faults_plan
-            )
-        if args.breach:
-            return _run_breach_explain(args.name, args.entity, out, faults=faults_plan)
-        if not args.entity:
-            print("explain requires --entity (or --breach)", file=out)
-            return 2
-        return _run_explain(
-            args.name, args.entity, args.subject, args.fact, out, faults=faults_plan
-        )
-    if args.command == "timeline":
-        return _run_timeline(args.name, out, faults=faults_plan)
-    if args.command == "resilience":
-        return _run_resilience(
-            out,
-            rates=args.rates,
-            scenarios=args.scenarios,
-            seed=args.seed,
-            jobs=max(args.jobs, 1),
-            as_json=args.json,
-            out_path=args.out_path,
-        )
-    if args.command == "risk":
-        return _run_risk(
-            out,
-            scenarios=args.scenarios,
-            jobs=max(args.jobs, 1),
-            as_json=args.json,
-            out_path=args.out_path,
-            faults_plan=faults_plan,
-            profile_path=args.profile_path,
-        )
-    if args.command == "scale":
-        return _run_scale(
-            out,
-            users=args.users,
-            observations=args.observations,
-            jobs=max(args.jobs, 1),
-            segment_rows=args.segment_rows,
-            spill=not args.no_spill,
-            checkpoints=max(args.checkpoints, 1),
-            seed=args.seed,
-            as_json=args.json,
-            out_path=args.out_path,
-        )
-    if args.command == "privcount":
-        return _run_privcount(
-            out,
-            collectors=args.collectors,
-            share_keepers=args.share_keepers,
-            users=args.users,
-            jobs=max(args.jobs, 1),
-            as_json=args.json,
-            out_path=args.out_path,
-        )
-    if args.command == "list":
-        _register_demos()
-        for name in sorted(_DEMOS):
-            print(name, file=out)
-        return 0
-    parser.print_help(out)
-    return 2
+    if not hasattr(args, "handler"):
+        parser.print_help(out)
+        return 2
+    if hasattr(args, "jobs"):
+        args.jobs = max(args.jobs, 1)
+    try:
+        if hasattr(args, "faults"):
+            args.faults = _load_fault_plan(args.faults) if args.faults else None
+        return args.handler(args, out)
+    except _Exit as error:
+        print(error.message, file=out)
+        return error.code

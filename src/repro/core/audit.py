@@ -109,7 +109,6 @@ def audit(
     world: World,
     title: str = "untitled system",
     entities: Optional[Sequence[str]] = None,
-    max_coalition_size: Optional[int] = None,
     narrate: bool = True,
 ) -> AuditReport:
     """Run the complete analysis over ``world`` and bundle the results."""
@@ -128,7 +127,7 @@ def audit(
         table=table,
         verdict=analyzer.verdict(),
         verdict_trusting_attested=analyzer.verdict(trust_attested=True),
-        coalitions=analyzer.minimal_recoupling_coalitions(max_coalition_size),
+        coalitions=analyzer.minimal_recoupling_coalitions(),
         breaches=analyzer.breach_reports(),
         narrations=tuple(narrations),
     )

@@ -12,7 +12,7 @@ import functools
 import multiprocessing
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import runtime as _obs
@@ -44,8 +44,6 @@ __all__ = [
     "ResiliencePoint",
     "RiskSummary",
     "RiskPoint",
-    "table_experiments",
-    "table_reports",
     "table_summaries",
     "sweep_results",
     "resilience_point",
@@ -73,6 +71,8 @@ __all__ = [
     "sweep_relays",
     "sweep_aggregators",
     "sweep_batches",
+    "STRIPING_NAMES",
+    "striping_stub",
     "sweep_striping",
     "sweep_tracking",
     "sweep_disclosure",
@@ -134,22 +134,6 @@ def _table_specs() -> List[Tuple[str, str, Dict[str, str], Callable[[], object]]
     ]
 
 
-def table_experiments() -> List[Tuple[str, str, Dict[str, str], object]]:
-    """(id, title, paper table, completed run) for every table."""
-    return [
-        (experiment_id, title, expected, _run_experiment(experiment_id, title, runner))
-        for experiment_id, title, expected, runner in _table_specs()
-    ]
-
-
-def table_reports() -> List[Tuple[ExperimentReport, object]]:
-    """Experiment reports paired with their runs."""
-    return [
-        (compare_tables(experiment_id, title, expected, run.table()), run)
-        for experiment_id, title, expected, run in table_experiments()
-    ]
-
-
 # ----------------------------------------------------------------------
 # Parallel sweep/table runner
 # ----------------------------------------------------------------------
@@ -166,6 +150,13 @@ def table_reports() -> List[Tuple[ExperimentReport, object]]:
 # runs under its own capture and ships back wall time, span counts, and
 # counter snapshots, which the parent folds into the report's trace
 # summary section.
+
+
+class _Point:
+    """A series result whose JSON document is its fields, in order."""
+
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
 
 
 @dataclass
@@ -258,19 +249,20 @@ def _table_worker(index: int) -> TableSummary:
     return summary
 
 
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> List:
-    """Order-preserving map over worker processes.
+def parallel_map(fn: Callable, items: Sequence[Tuple], jobs: int) -> List:
+    """Order-preserving ``fn(*item)`` over worker processes.
 
-    ``jobs <= 1`` runs in-process (no pool, spans flow to the ambient
-    tracer).  Otherwise a pool of ``min(jobs, len(items))`` processes
-    maps ``fn`` with results returned in input order, independent of
-    worker completion order.
+    Each item is a tuple of ``fn``'s positional arguments, picklable
+    under fork and spawn alike.  ``jobs <= 1`` runs in-process (no
+    pool, spans flow to the ambient tracer).  Otherwise a pool of
+    ``min(jobs, len(items))`` processes starmaps ``fn`` with results
+    returned in input order, independent of worker completion order.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     with multiprocessing.Pool(processes=min(jobs, len(items))) as pool:
-        return pool.map(fn, items)
+        return pool.starmap(fn, items)
 
 
 def table_summaries(jobs: int = 1) -> List[TableSummary]:
@@ -288,7 +280,7 @@ def table_summaries(jobs: int = 1) -> List[TableSummary]:
             )
             for experiment_id, title, expected, runner in specs
         ]
-    return parallel_map(_table_worker, range(len(specs)), jobs)
+    return parallel_map(_table_worker, [(i,) for i in range(len(specs))], jobs)
 
 
 @register_sweep("D3u", title="D3: batch sweep, unpadded", order=3.0)
@@ -333,7 +325,7 @@ def sweep_results(jobs: int = 1) -> List[SweepResult]:
     specs = _sweep_specs()
     if jobs <= 1:
         return [SweepResult(key=key, payload=runner()) for key, runner in specs]
-    return parallel_map(_sweep_worker, range(len(specs)), jobs)
+    return parallel_map(_sweep_worker, [(i,) for i in range(len(specs))], jobs)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +342,7 @@ def sweep_results(jobs: int = 1) -> List[SweepResult]:
 
 
 @dataclass
-class ResiliencePoint:
+class ResiliencePoint(_Point):
     """One (scenario, fault rate) cell of the R-series sweep."""
 
     scenario: str
@@ -369,11 +361,6 @@ class ResiliencePoint:
     failures: int
     phase_errors: int
     observations: int
-
-    def to_dict(self) -> Dict[str, object]:
-        from dataclasses import asdict
-
-        return asdict(self)
 
 
 #: The default loss ramp: fault-free anchor, mild, and heavy loss.
@@ -429,12 +416,6 @@ def resilience_point(
         )
 
 
-def _resilience_worker(item: Tuple[str, float, int]) -> ResiliencePoint:
-    """One sweep cell in a worker process (items are picklable)."""
-    scenario_id, rate, seed = item
-    return resilience_point(scenario_id, rate, seed=seed)
-
-
 def resilience_sweep(
     rates: Sequence[float] = DEFAULT_RESILIENCE_RATES,
     scenario_ids: Optional[Sequence[str]] = None,
@@ -457,7 +438,7 @@ def resilience_sweep(
         for scenario_id in scenario_ids
         for rate in rates
     ]
-    return parallel_map(_resilience_worker, items, jobs)
+    return parallel_map(resilience_point, items, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +454,7 @@ def resilience_sweep(
 
 
 @dataclass
-class RiskSummary:
+class RiskSummary(_Point):
     """The picklable risk summary of one scenario run."""
 
     scenario: str
@@ -492,14 +473,9 @@ class RiskSummary:
     pairs: List[Dict[str, object]] = field(default_factory=list)
     coalition_curve: List[Dict[str, object]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, object]:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 @dataclass
-class RiskPoint:
+class RiskPoint(_Point):
     """One (scenario, degree) cell of a G-series risk sweep."""
 
     scenario: str
@@ -511,11 +487,6 @@ class RiskPoint:
     coupled_pairs: int
     population: int
     observations: int
-
-    def to_dict(self) -> Dict[str, object]:
-        from dataclasses import asdict
-
-        return asdict(self)
 
 
 #: The G-series sweeps: (key, title, scenario, degree knob, degrees,
@@ -543,34 +514,37 @@ def risk_report(scenario_id: str, profile=None, faults=None, **overrides):
         return report
 
 
-def _summarize_risk(scenario_id: str, title: str, report) -> RiskSummary:
+def _risk_fields(report) -> Dict[str, object]:
+    """The risk fields every G- and P-series result reads off one report."""
     max_pair = report.max_pair()
-    return RiskSummary(
-        scenario=scenario_id,
-        title=title,
-        population=len(report.population),
-        observations=sum(p.observations for p in report.pairs),
-        decoupled=report.decoupled,
-        grade=report.grade,
-        collusion_resistance=report.collusion_resistance,
-        system_risk=report.system_risk(),
-        max_pair_entity=max_pair.entity if max_pair else "",
-        max_pair_subject=max_pair.subject if max_pair else "",
-        max_pair_risk=max_pair.score if max_pair else 0.0,
-        mean_pair_risk=report.mean_pair_risk(),
-        coupled_pairs=report.coupled_pairs,
-        pairs=[p.to_dict() for p in report.non_user_pairs()],
-        coalition_curve=report.coalition_curve(),
-    )
+    return {
+        "system_risk": report.system_risk(),
+        "max_pair_risk": max_pair.score if max_pair else 0.0,
+        "mean_pair_risk": report.mean_pair_risk(),
+        "coupled_pairs": report.coupled_pairs,
+        "observations": sum(p.observations for p in report.pairs),
+    }
 
 
-def _risk_worker(item) -> RiskSummary:
-    """One scenario's risk summary in a worker process."""
-    scenario_id, profile = item
+def _risk_summary(scenario_id: str, profile=None) -> RiskSummary:
+    """Score one scenario and summarize the report."""
     from repro.scenario import get_spec
 
     report = risk_report(scenario_id, profile)
-    return _summarize_risk(scenario_id, get_spec(scenario_id).title, report)
+    max_pair = report.max_pair()
+    return RiskSummary(
+        scenario=scenario_id,
+        title=get_spec(scenario_id).title,
+        population=len(report.population),
+        decoupled=report.decoupled,
+        grade=report.grade,
+        collusion_resistance=report.collusion_resistance,
+        max_pair_entity=max_pair.entity if max_pair else "",
+        max_pair_subject=max_pair.subject if max_pair else "",
+        pairs=[p.to_dict() for p in report.non_user_pairs()],
+        coalition_curve=report.coalition_curve(),
+        **_risk_fields(report),
+    )
 
 
 def risk_summaries(
@@ -589,7 +563,7 @@ def risk_summaries(
 
         scenario_ids = [spec.id for spec in all_specs()]
     items = [(scenario_id, profile) for scenario_id in scenario_ids]
-    return parallel_map(_risk_worker, items, jobs)
+    return parallel_map(_risk_summary, items, jobs)
 
 
 def risk_point(
@@ -597,36 +571,28 @@ def risk_point(
     degree: int,
     degree_param: str,
     profile=None,
-    **overrides,
+    overrides: Optional[Dict[str, object]] = None,
 ) -> RiskPoint:
-    """Score one scenario at one degree of decoupling."""
+    """Score one scenario at one degree of decoupling.
+
+    ``overrides`` binds the scenario's other parameters.
+    """
     with get_tracer().span(
         "risk-point", kind="harness", sim_time=0.0,
         scenario=scenario_id, degree=degree,
     ) as span:
         from repro.risk import score_run
 
-        run = run_scenario(scenario_id, **{degree_param: degree}, **overrides)
+        run = run_scenario(scenario_id, **{degree_param: degree}, **(overrides or {}))
         span.end_sim(run.network.simulator.now)
         report = score_run(run, profile)
-        max_pair = report.max_pair()
         return RiskPoint(
             scenario=scenario_id,
             degree=degree,
             collusion_resistance=report.collusion_resistance,
-            system_risk=report.system_risk(),
-            max_pair_risk=max_pair.score if max_pair else 0.0,
-            mean_pair_risk=report.mean_pair_risk(),
-            coupled_pairs=report.coupled_pairs,
             population=len(report.population),
-            observations=sum(p.observations for p in report.pairs),
+            **_risk_fields(report),
         )
-
-
-def _risk_point_worker(item) -> RiskPoint:
-    """One G-series cell in a worker process (items are picklable)."""
-    scenario_id, degree, degree_param, overrides, profile = item
-    return risk_point(scenario_id, degree, degree_param, profile, **overrides)
 
 
 def risk_sweep(
@@ -643,11 +609,11 @@ def risk_sweep(
     """
     sweeps = [s for s in RISK_SWEEPS if keys is None or s[0] in keys]
     items = [
-        (scenario_id, degree, degree_param, dict(overrides), profile)
+        (scenario_id, degree, degree_param, profile, dict(overrides))
         for key, _title, scenario_id, degree_param, degrees, overrides in sweeps
         for degree in degrees
     ]
-    points = parallel_map(_risk_point_worker, items, jobs)
+    points = parallel_map(risk_point, items, jobs)
     results: Dict[str, List[RiskPoint]] = {}
     cursor = 0
     for key, _title, _sid, _param, degrees, _overrides in sweeps:
@@ -722,7 +688,7 @@ def risk_delta(scenario_id: str, faults, profile=None) -> Dict[str, object]:
 
 
 @dataclass
-class PrivcountPoint:
+class PrivcountPoint(_Point):
     """One (collectors, share keepers) cell of the P-series sweep."""
 
     collectors: int
@@ -741,11 +707,6 @@ class PrivcountPoint:
     reconstructed: bool
     observations: int
 
-    def to_dict(self) -> Dict[str, object]:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 #: The P-series grid: every (collectors, share keepers) pairing swept
 #: by default.  Reconstruction threshold should track keepers + 1 on
@@ -755,11 +716,7 @@ DEFAULT_PRIVCOUNT_KEEPERS: Tuple[int, ...] = (2, 3, 4)
 
 
 def privcount_point(
-    collectors: int,
-    share_keepers: int,
-    users: int = 6,
-    profile=None,
-    **overrides,
+    collectors: int, share_keepers: int, users: int = 6
 ) -> PrivcountPoint:
     """Score one PrivCount deployment shape.
 
@@ -779,11 +736,9 @@ def privcount_point(
             users=users,
             collectors=collectors,
             share_keepers=share_keepers,
-            **overrides,
         )
         span.end_sim(run.network.simulator.now)
-        report = score_run(run, profile)
-        max_pair = report.max_pair()
+        report = score_run(run)
         threshold = report.collusion_resistance
         return PrivcountPoint(
             collectors=collectors,
@@ -791,21 +746,9 @@ def privcount_point(
             users=users,
             reconstruction_threshold=threshold,
             threshold_matches=threshold == share_keepers + 1,
-            system_risk=report.system_risk(),
-            max_pair_risk=max_pair.score if max_pair else 0.0,
-            mean_pair_risk=report.mean_pair_risk(),
-            coupled_pairs=report.coupled_pairs,
             reconstructed=run.reconstructed,
-            observations=sum(p.observations for p in report.pairs),
+            **_risk_fields(report),
         )
-
-
-def _privcount_point_worker(item) -> PrivcountPoint:
-    """One P-series cell in a worker process (items are picklable)."""
-    collectors, share_keepers, users, overrides, profile = item
-    return privcount_point(
-        collectors, share_keepers, users, profile, **overrides
-    )
 
 
 def privcount_sweep(
@@ -813,8 +756,6 @@ def privcount_sweep(
     share_keepers: Sequence[int] = DEFAULT_PRIVCOUNT_KEEPERS,
     users: int = 6,
     jobs: int = 1,
-    profile=None,
-    **overrides,
 ) -> List[PrivcountPoint]:
     """The P-series: reconstruction threshold vs deployment shape.
 
@@ -822,12 +763,8 @@ def privcount_sweep(
     the measured reconstruction threshold and the risk-layer scores.
     Row-major (collectors outer) so the output order is stable.
     """
-    items = [
-        (c, k, users, dict(overrides), profile)
-        for c in collectors
-        for k in share_keepers
-    ]
-    return parallel_map(_privcount_point_worker, items, jobs)
+    items = [(c, k, users) for c in collectors for k in share_keepers]
+    return parallel_map(privcount_point, items, jobs)
 
 
 def figure_f1_series(max_steps: int = 10):
@@ -928,57 +865,70 @@ def sweep_batches(
     return series
 
 
-@register_sweep("D4", title="D4: resolver striping", order=4.0)
-def sweep_striping(resolver_counts=(1, 2, 4, 8)) -> List[Dict[str, float]]:
-    """D4: resolver count vs per-resolver knowledge."""
+#: D4's workload: distinct names, looked up once each.
+STRIPING_NAMES: Tuple[str, ...] = tuple(f"site-{i}.example.com" for i in range(16))
+
+
+def striping_stub(resolver_count: int, policy):
+    """One client striping a lookup per name over ``resolver_count`` resolvers.
+
+    The zone serves :data:`STRIPING_NAMES`; each resolver belongs to
+    its own organization, and ``policy`` (a :mod:`repro.dns.striping`
+    policy) picks the resolver per query.  Returns the client's stub,
+    which holds the per-resolver knowledge.
+    """
     from repro.core.entities import World
     from repro.core.labels import SENSITIVE_IDENTITY
     from repro.core.values import LabeledValue, Subject
     from repro.dns.resolver import RecursiveResolver
-    from repro.dns.striping import RoundRobinPolicy, StripingStub
+    from repro.dns.striping import StripingStub
     from repro.dns.zones import AuthoritativeServer, Zone, ZoneRegistry
     from repro.net.network import Network
 
-    names = [f"site-{i}.example.com" for i in range(16)]
+    world = World()
+    network = Network()
+    registry = ZoneRegistry()
+    zone = Zone("example.com")
+    for name in STRIPING_NAMES:
+        zone.add(name, "203.0.113.99")
+    AuthoritativeServer(network, world.entity("Auth", "dns-infra"), zone, registry)
+    resolvers = [
+        RecursiveResolver(
+            network,
+            world.entity(f"Resolver {i}", f"resolver-org-{i}"),
+            registry,
+            name=f"resolver-{i}",
+        )
+        for i in range(resolver_count)
+    ]
+    alice = Subject("alice")
+    host = network.add_host(
+        "client",
+        world.entity("Client", "device", trusted_by_user=True),
+        identity=LabeledValue("198.51.100.9", SENSITIVE_IDENTITY, alice, "ip"),
+    )
+    stub = StripingStub(host, [r.address for r in resolvers], policy)
+    for name in STRIPING_NAMES:
+        stub.lookup(name, alice)
+    return stub
+
+
+@register_sweep("D4", title="D4: resolver striping", order=4.0)
+def sweep_striping(resolver_counts=(1, 2, 4, 8)) -> List[Dict[str, float]]:
+    """D4: resolver count vs per-resolver knowledge, round-robin striping."""
+    from repro.dns.striping import RoundRobinPolicy
+
     series = []
     for count in resolver_counts:
         with get_tracer().span(
             "sweep-point", kind="harness", sweep="D4", degree=count
         ):
-            world = World()
-            network = Network()
-            registry = ZoneRegistry()
-            zone = Zone("example.com")
-            for name in names:
-                zone.add(name, "203.0.113.99")
-            AuthoritativeServer(
-                network, world.entity("Auth", "dns-infra"), zone, registry
-            )
-            resolvers = [
-                RecursiveResolver(
-                    network,
-                    world.entity(f"Resolver {i}", f"resolver-org-{i}"),
-                    registry,
-                    name=f"resolver-{i}",
-                )
-                for i in range(count)
-            ]
-            alice = Subject("alice")
-            host = network.add_host(
-                "client",
-                world.entity("Client", "device", trusted_by_user=True),
-                identity=LabeledValue("198.51.100.9", SENSITIVE_IDENTITY, alice, "ip"),
-            )
-            stub = StripingStub(
-                host, [r.address for r in resolvers], RoundRobinPolicy()
-            )
-            for name in names:
-                stub.lookup(name, alice)
+            stub = striping_stub(count, RoundRobinPolicy())
         series.append(
             {
                 "resolvers": count,
                 "max_query_share": stub.max_resolver_share(),
-                "max_name_coverage": stub.max_name_coverage(len(names)),
+                "max_name_coverage": stub.max_name_coverage(len(STRIPING_NAMES)),
                 "load_entropy_bits": stub.load_entropy_bits(),
                 "imbalance": stub.load_imbalance(),
             }
@@ -1062,7 +1012,7 @@ def _peak_rss_mb() -> float:
 
 
 @dataclass
-class ScalePoint:
+class ScalePoint(_Point):
     """One T-series measurement: the scale workload at one user count.
 
     ``mid_run_matches`` is the acceptance property: every mid-run
@@ -1099,41 +1049,24 @@ class ScalePoint:
     seed: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "users": self.users,
-            "observations": self.observations,
-            "arrivals": self.arrivals,
-            "sessions": self.sessions,
-            "decoupled": self.decoupled,
-            "collusion_resistance": self.collusion_resistance,
-            "checkpoints": self.checkpoints,
-            "mid_run_matches": self.mid_run_matches,
-            "ingest_seconds": round(self.ingest_seconds, 3),
-            "verify_seconds": round(self.verify_seconds, 3),
-            "observations_per_second": round(self.observations_per_second, 1),
-            "segments": self.segments,
-            "segments_sealed": self.segments_sealed,
-            "segments_spilled": self.segments_spilled,
-            "rows_spilled": self.rows_spilled,
-            "resident_rows": self.resident_rows,
-            "segment_reloads": self.segment_reloads,
-            "peak_rss_mb": round(self.peak_rss_mb, 1),
-            "segment_rows": self.segment_rows,
-            "spill": self.spill,
-            "seed": self.seed,
-        }
+        document = asdict(self)
+        for key, digits in (
+            ("ingest_seconds", 3),
+            ("verify_seconds", 3),
+            ("observations_per_second", 1),
+            ("peak_rss_mb", 1),
+        ):
+            document[key] = round(document[key], digits)
+        return document
 
 
 def scale_point(
     users: int,
     observations: Optional[int] = None,
-    *,
     seed: int = 7,
     segment_rows: Optional[int] = 65_536,
     spill: bool = True,
-    spill_directory: Optional[str] = None,
     checkpoints: int = 8,
-    coupled_fraction: float = 0.0,
 ) -> ScalePoint:
     """Run the T-series scale workload at one population size.
 
@@ -1155,9 +1088,7 @@ def scale_point(
             seed=seed,
             segment_rows=segment_rows,
             spill=spill,
-            spill_directory=spill_directory,
             checkpoints=checkpoints,
-            coupled_fraction=coupled_fraction,
         )
     final = result.checkpoints[-1]
     accounting = result.accounting
@@ -1189,27 +1120,23 @@ def scale_point(
     )
 
 
-def _scale_worker(
-    item: Tuple[int, Optional[int], int, Optional[int]]
-) -> ScalePoint:
-    users, observations, seed, segment_rows = item
-    # Each worker spills into its own ledger-owned temp directory (the
-    # ledger's default is mkdtemp + pid-prefixed), so concurrent
-    # workers can never collide on spill paths.
-    return scale_point(users, observations, seed=seed, segment_rows=segment_rows)
-
-
 def scale_sweep(
     user_counts: Sequence[int] = (1_000, 10_000, 100_000),
-    *,
-    observations_per_user: int = 10,
+    observations: Optional[int] = None,
     seed: int = 7,
     segment_rows: Optional[int] = 65_536,
+    spill: bool = True,
+    checkpoints: int = 8,
     jobs: int = 1,
 ) -> List[ScalePoint]:
-    """The T-series sweep: one :func:`scale_point` per user count."""
+    """The T-series sweep: one :func:`scale_point` per user count.
+
+    Every point takes the same arguments.  Each worker spills into its
+    own ledger-owned temp directory (the ledger's default is mkdtemp +
+    pid-prefixed), so concurrent workers never collide on spill paths.
+    """
     items = [
-        (users, users * observations_per_user, seed, segment_rows)
+        (users, observations, seed, segment_rows, spill, checkpoints)
         for users in user_counts
     ]
-    return parallel_map(_scale_worker, items, jobs)
+    return parallel_map(scale_point, items, jobs)

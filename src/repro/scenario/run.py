@@ -12,7 +12,7 @@ lists, latency figures, ground-truth maps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
@@ -79,7 +79,7 @@ class ScenarioRun:
             title=self.table_title,
         )
 
-    def audit(self, max_coalition_size: Optional[int] = None, narrate: bool = True):
+    def audit(self, narrate: bool = True):
         """The full decoupling audit of this run, as one document."""
         from repro.core.audit import audit
 
@@ -91,7 +91,6 @@ class ScenarioRun:
                 if self.table_entities is not None
                 else None
             ),
-            max_coalition_size=max_coalition_size,
             narrate=narrate,
         )
 

@@ -11,10 +11,8 @@ import json
 
 import pytest
 
-from repro.cli import _DEMOS, _register_demos, main
-from repro.scenario import all_specs
-
-_register_demos()
+from repro.cli import main
+from repro.scenario import all_specs, run_scenario
 
 ALL_SPEC_IDS = sorted(spec.id for spec in all_specs())
 
@@ -63,8 +61,10 @@ EXPECTED_VERDICTS = {
 
 
 def test_registry_fully_covered():
-    """Every registered spec has a demo and a pinned verdict."""
-    assert sorted(_DEMOS) == ALL_SPEC_IDS
+    """Every registered spec is listed as a demo and has a pinned verdict."""
+    out = io.StringIO()
+    assert main(["list"], out=out) == 0
+    assert out.getvalue().split() == ALL_SPEC_IDS
     assert sorted(EXPECTED_VERDICTS) == ALL_SPEC_IDS
 
 
@@ -100,5 +100,5 @@ def test_demo_json_schema(name):
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
 def test_demo_verdicts_match_expectations(name):
-    run = _DEMOS[name]()
+    run = run_scenario(name)
     assert run.analyzer.verdict().decoupled == EXPECTED_VERDICTS[name], name

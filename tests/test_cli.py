@@ -241,6 +241,33 @@ class TestScale:
         assert code == 2
         assert "at least one" in output
 
+    def test_scale_sweep_honours_every_flag(self):
+        """A comma list of users runs every point with the given
+        observations, segment size, spill policy and checkpoints."""
+        import json
+
+        code, output = _run(
+            ["scale", "--users", "120,240", "--observations", "1200",
+             "--segment-rows", "128", "--no-spill", "--checkpoints", "2",
+             "--json"]
+        )
+        assert code == 0
+        points = json.loads(output)["points"]
+        assert [p["users"] for p in points] == [120, 240]
+        for point in points:
+            assert point["observations"] == 1200
+            assert point["segment_rows"] == 128
+            assert point["spill"] is False
+            assert point["checkpoints"] == 3
+
+    @pytest.mark.parametrize("users", ["abc", "0", "100,x"])
+    def test_scale_rejects_non_positive_or_non_integer_users(self, users):
+        code, output = _run(["scale", "--users", users])
+        assert code == 2
+        assert output == (
+            f"invalid --users {users!r}: expected comma-separated positive integers\n"
+        )
+
 
 class TestNoCommand:
     def test_help_on_no_command(self):

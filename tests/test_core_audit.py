@@ -66,3 +66,20 @@ class TestRendering:
         assert not report.verdict.decoupled
         assert report.verdict_trusting_attested.decoupled
         assert "attested TEEs are trusted" in report.render()
+
+
+def test_audit_grade_agrees_with_risk_and_harness_on_every_spec():
+    """The three callers of ``audit_grade`` give every registered run
+    the same grade: its audit, its risk report and, for the paper's
+    experiments, the harness's table summary."""
+    from repro import harness
+    from repro.risk import score_run
+    from repro.scenario import all_specs, run_scenario
+
+    table_grades = {s.experiment_id: s.grade for s in harness.table_summaries()}
+    for spec in all_specs():
+        run = run_scenario(spec.id)
+        grade = run.audit(narrate=False).grade
+        assert grade == score_run(run).grade, spec.id
+        if spec.experiment_id:
+            assert grade == table_grades[spec.experiment_id], spec.id

@@ -79,10 +79,8 @@ print(json.dumps(outputs))
 
 
 def spec_ids():
-    from repro.cli import _register_demos
     from repro.scenario import all_specs
 
-    _register_demos()
     return sorted(spec.id for spec in all_specs())
 
 

@@ -231,6 +231,24 @@ class TestPrivcountCommand:
         assert [p["share_keepers"] for p in document["points"]] == [2, 3]
         assert all(p["threshold_matches"] for p in document["points"])
 
+    @pytest.mark.parametrize("collectors", ["x", "0", "1,x"])
+    def test_cli_rejects_non_positive_or_non_integer_collectors(self, collectors):
+        code, output = _run(["privcount", "--collectors", collectors])
+        assert code == 2
+        assert output == (
+            f"invalid --collectors {collectors!r}:"
+            " expected comma-separated positive integers\n"
+        )
+
+    @pytest.mark.parametrize("keepers", ["y", "0", "2,y"])
+    def test_cli_rejects_non_positive_or_non_integer_share_keepers(self, keepers):
+        code, output = _run(["privcount", "--share-keepers", keepers])
+        assert code == 2
+        assert output == (
+            f"invalid --share-keepers {keepers!r}:"
+            " expected comma-separated positive integers\n"
+        )
+
     def test_cli_text_reports_thresholds(self):
         code, output = _run(
             ["privcount", "--collectors", "1", "--share-keepers", "2"]

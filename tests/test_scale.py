@@ -106,9 +106,7 @@ class TestScalePoint:
         directories must never collide on paths."""
         from repro import harness
 
-        points = harness.scale_sweep(
-            (120, 240), observations_per_user=8, segment_rows=128, jobs=2
-        )
+        points = harness.scale_sweep((120, 240), segment_rows=128, jobs=2)
         assert [p.users for p in points] == [120, 240]
         for point in points:
             assert point.segments_spilled > 0
