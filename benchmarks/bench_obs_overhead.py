@@ -14,8 +14,9 @@ analyze`` lifecycle under ``obs.capture(mode=...)`` exactly as the
 decomposition, and the acceptance gates from the observability issue
 are asserted on the drive+settle slice (the drive pipeline's part):
 
-* ``counters`` must stay within 10% of ``off`` (deliveries fold into
-  the batched ``MetricsBatch`` accumulator), and
+* ``counters`` must stay within 10% of ``off`` (deliveries bump plain
+  accumulators on the registry, folded into its instruments on read),
+  and
 * ``sampled`` at the default 1% rate must stay within 25% of ``off``
   (only the sampler's chosen packets run span code).
 

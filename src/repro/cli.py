@@ -64,7 +64,7 @@ from typing import Dict, List, Optional
 
 from repro import harness, obs
 from repro.obs import export as obs_export
-from repro.scenario import all_specs, experiment_specs, run_scenario
+from repro.scenario import all_specs, experiment_specs, get_spec, run_scenario
 
 
 __all__ = ["main"]
@@ -91,9 +91,11 @@ def _check_demo(name: str) -> None:
 
 def _scenario_ids(text) -> Optional[List[str]]:
     """The ``--scenarios`` ids, checked; ``None`` means every spec."""
-    if not text:
+    if text is None:
         return None
     ids = [name.strip() for name in text.split(",") if name.strip()]
+    if not ids:
+        raise _Exit(2, "--scenarios needs at least one scenario id")
     known = _spec_ids()
     unknown = sorted(set(ids) - set(known))
     if unknown:
@@ -127,6 +129,18 @@ def _count_grids(verb: str, *grids) -> List[List[int]]:
     if errors:
         raise _Exit(2, "\n".join(errors))
     return counts
+
+
+def _check_point(check, *args, **kwargs) -> None:
+    """Run a sweep point's own limit check before the sweep fans out.
+
+    Its ``ValueError`` is a bad argument: exit 2 with the message.  The
+    same error raised mid-run is a fault and keeps its traceback.
+    """
+    try:
+        check(*args, **kwargs)
+    except ValueError as error:
+        raise _Exit(2, str(error)) from None
 
 
 def _load_fault_plan(path: str):
@@ -303,13 +317,7 @@ def _fold_counters(parts) -> Dict[str, int]:
 
 def _trace_counters(registry, parts) -> Dict[str, int]:
     """Counter totals: the serial capture's, or folded from ``parts``."""
-    if registry is None:
-        return _fold_counters(parts)
-    return {
-        row["name"]: row["value"]
-        for row in registry.snapshot()
-        if row["type"] == "counter"
-    }
+    return _fold_counters(parts) if registry is None else registry.counters()
 
 
 #: A run's totals, as experiment span attributes and summary fields.
@@ -673,7 +681,7 @@ def _profile(args, out) -> int:
     import time as time_mod
 
     from repro.scenario import PHASES
-    from repro.scenario.spec import ScenarioError, get_spec
+    from repro.scenario.spec import ScenarioError
 
     name, mode, repeats = args.name, args.obs_mode or "off", max(args.repeats, 1)
     try:
@@ -1202,7 +1210,11 @@ def _print_scale(points, out) -> None:
 
 def _scale(args, out) -> int:
     """``scale``: the T-series streaming-scale workload."""
+    from repro.population.workload import check_scale_workload
+
     (user_counts,) = _count_grids("scale", ("users", args.users))
+    if args.observations is not None:
+        _check_point(check_scale_workload, args.observations)
     points = harness.scale_sweep(
         user_counts,
         args.observations,
@@ -1250,6 +1262,12 @@ def _privcount(args, out) -> int:
         ("collectors", args.collectors),
         ("share-keepers", args.share_keepers),
     )
+    spec = get_spec("privcount")
+    for count in collectors:
+        for keepers in share_keepers:
+            # Building the program runs the scenario's own ``validate``.
+            params = dict(collectors=count, share_keepers=keepers, users=args.users)
+            _check_point(spec.program, spec, spec.bind(params))
     points = harness.privcount_sweep(
         collectors=collectors,
         share_keepers=share_keepers,

@@ -53,7 +53,6 @@ from typing import (
 )
 
 from repro.obs import runtime as _obs
-from repro.obs.metrics import BATCH as _BATCH
 from repro.obs.metrics import get_registry as _get_registry
 
 from .labels import Facet, Kind, Label
@@ -360,10 +359,8 @@ class Ledger:
         self._sealed_count += 1
         for listener in self._seal_listeners:
             listener(self, segment)
-        if _obs.ENABLED:
-            _get_registry().counter("ledger.segments.sealed").inc()
-        elif _obs.COUNTERS:
-            _BATCH.note_segment(sealed=1)
+        if _obs.COUNTERS:
+            _get_registry().segments_sealed += 1
         if self._auto_spill:
             self._spill_segment(segment)
         return segment
@@ -375,12 +372,10 @@ class Ledger:
         if dropped:
             self._spilled_count += 1
             self._spilled_rows += dropped
-            if _obs.ENABLED:
+            if _obs.COUNTERS:
                 registry = _get_registry()
-                registry.counter("ledger.segments.spilled").inc()
-                registry.counter("ledger.rows.spilled").inc(dropped)
-            elif _obs.COUNTERS:
-                _BATCH.note_segment(spilled=1, rows_spilled=dropped)
+                registry.segments_spilled += 1
+                registry.rows_spilled += dropped
 
     def spill_sealed_segments(self) -> int:
         """Spill every sealed, still-resident segment; returns rows dropped."""
@@ -399,8 +394,8 @@ class Ledger:
     def memory_accounting(self) -> Dict[str, int]:
         """Bounded-memory accounting for the segment lifecycle.
 
-        The same numbers the ``counters`` observability tier folds into
-        the metrics registry (``ledger.segments.sealed`` /
+        The same numbers every observability tier that records metrics
+        counts into the metrics registry (``ledger.segments.sealed`` /
         ``ledger.segments.spilled`` / ``ledger.rows.spilled``), plus
         point-in-time residency, for the T-series harness and tests.
         """
@@ -609,14 +604,9 @@ class Ledger:
         segment.count += len(recorded)
         self._total += len(recorded)
         self._version += 1
-        if _obs.ENABLED:
-            registry = _get_registry()
-            registry.counter("ledger.observations").inc(len(recorded))
-            registry.counter(f"ledger.observations.{channel}").inc(len(recorded))
-        elif _obs.COUNTERS:
-            # Batched tiers: one slotted accumulator update per batch,
-            # folded at capture exit.
-            _BATCH.note_observations(channel, len(recorded))
+        if _obs.COUNTERS:
+            observations = _get_registry().observations
+            observations[channel] = observations.get(channel, 0) + len(recorded)
         self._maybe_roll_segment()
         return recorded
 

@@ -226,14 +226,6 @@ def _summarize_table_run(
     return summary
 
 
-def _counter_snapshot(registry) -> Dict[str, int]:
-    return {
-        row["name"]: row["value"]
-        for row in registry.snapshot()
-        if row["type"] == "counter"
-    }
-
-
 def _table_worker(index: int) -> TableSummary:
     """Run one table experiment in a worker process, fully traced."""
     from repro import obs
@@ -245,7 +237,7 @@ def _table_worker(index: int) -> TableSummary:
     summary = _summarize_table_run(experiment_id, title, expected, run)
     summary.wall_ms = (time.perf_counter() - start) * 1000.0
     summary.spans = max(len(tracer.spans) - 1, 0)
-    summary.counters = _counter_snapshot(registry)
+    summary.counters = registry.counters()
     return summary
 
 
@@ -316,7 +308,7 @@ def _sweep_worker(index: int) -> SweepResult:
         payload=payload,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         points=len(tracer.by_name("sweep-point")),
-        counters=_counter_snapshot(registry),
+        counters=registry.counters(),
     )
 
 

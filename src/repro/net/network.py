@@ -24,8 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.entities import Entity
 from repro.obs import runtime as _obs
-from repro.obs.metrics import BATCH as _BATCH
-from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import NOOP_SPAN, get_tracer
 
 from .addressing import Address, AddressAllocator
@@ -399,10 +398,8 @@ class Network:
 
     def _count_dropped(self) -> None:
         self.packets_dropped += 1
-        if _obs.ENABLED:
-            get_registry().counter("net.packets_dropped").inc()
-        elif _obs.COUNTERS:
-            _BATCH.dropped += 1
+        if _obs.COUNTERS:
+            get_registry().dropped += 1
 
     def _deliver(self, packet: Packet, origin: Any, traced: Optional[bool]) -> None:
         """Fire one delivery event.
@@ -419,6 +416,10 @@ class Network:
             # this packet was on the wire.
             self._count_dropped()
             return
+        if _obs.COUNTERS:
+            get_registry().note_delivery(
+                packet.size, self.simulator.now - packet.sent_at
+            )
         if _obs.ENABLED:
             traced = True
         elif traced is None:
@@ -427,30 +428,11 @@ class Network:
         if traced:
             self._arrive_traced(packet, origin)
             return
-        if _obs.COUNTERS:
-            # Batched tiers: one slotted accumulator update instead of
-            # per-value registry writes.
-            _BATCH.note_delivery(packet.size, self.simulator.now - packet.sent_at)
         self._arrive(packet)
 
     def _arrive_traced(self, packet: Packet, origin_span: Any) -> None:
         """:meth:`_arrive` inside a ``deliver`` span."""
         tracer = get_tracer()
-        now = self.simulator.now
-        if _obs.ENABLED:
-            registry = get_registry()
-            registry.counter("net.messages").inc()
-            registry.counter("net.bytes").inc(packet.size)
-            registry.histogram("net.packet_bytes", SIZE_BUCKETS).observe(
-                packet.size
-            )
-            registry.histogram("net.hop_latency", LATENCY_BUCKETS).observe(
-                now - packet.sent_at
-            )
-        else:
-            # Sampled tier: the traced subset still accounts through
-            # the batch so metric totals cover *every* delivery.
-            _BATCH.note_delivery(packet.size, now - packet.sent_at)
         # A delivery whose origin lies outside the network layer (a
         # one-way ``send`` from protocol or scenario code) gets a
         # synthetic ``transact`` wrapper so every delivery span sits

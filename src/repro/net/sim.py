@@ -30,7 +30,6 @@ import itertools
 from typing import Callable, List, Tuple
 
 from repro.obs import runtime as _obs
-from repro.obs.metrics import BATCH as _BATCH
 from repro.obs.metrics import get_registry as _get_registry
 
 __all__ = ["Simulator"]
@@ -131,12 +130,8 @@ class Simulator:
                 raise RuntimeError("event queue went backwards in time")
             self.now = time
             self._processed += 1
-            if _obs.ENABLED:
-                _get_registry().counter("sim.events").inc()
-            elif _obs.COUNTERS:
-                # Batched tiers: one attribute increment per event; the
-                # accumulator folds into the registry once per capture.
-                _BATCH.events += 1
+            if _obs.COUNTERS:
+                _get_registry().events += 1
             if self._hooks:
                 for hook in self._hooks:
                     hook(time, callback)

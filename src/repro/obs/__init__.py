@@ -47,10 +47,8 @@ from .metrics import (
     Gauge,
     Histogram,
     LATENCY_BUCKETS,
-    MetricsBatch,
     MetricsRegistry,
     SIZE_BUCKETS,
-    flush_batch,
     get_registry,
     set_registry,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "MetricsBatch",
     "MetricsRegistry",
     "NOOP_SPAN",
     "SIZE_BUCKETS",
@@ -73,7 +70,6 @@ __all__ = [
     "disable",
     "enable",
     "export",
-    "flush_batch",
     "get_registry",
     "get_tracer",
     "is_enabled",
@@ -100,14 +96,10 @@ def capture(
     Installs both as the process defaults and turns the requested
     ``mode`` on (explicit arg wins over ``REPRO_OBS_MODE``, which wins
     over the ``full`` default); on exit the previous defaults and mode
-    come back, so captures nest and never leak into later runs.
-
-    In the batched tiers (``counters`` / ``sampled``) hot paths fold
-    metrics into the process-wide :class:`MetricsBatch`; it is flushed
-    into the capture's registry on exit, so the registry is
-    authoritative once the ``with`` block ends (not before).  Any
-    accounting pending from an *enclosing* batched capture is flushed
-    to its own registry on entry, so nesting never mixes runs.
+    come back, so captures nest and never leak into later runs.  Hot
+    paths count into whichever registry is the default while they run,
+    and every registry read is complete, inside the ``with`` block or
+    after it.
 
     ``sampler`` customizes the ``sampled`` tier (rate/seed/per-kind
     rates); ``sink`` streams finished spans instead of accumulating
@@ -118,7 +110,6 @@ def capture(
     resolved = runtime.resolve_mode(mode)
     capture_tracer = tracer if tracer is not None else Tracer(sink=sink)
     capture_registry = registry if registry is not None else MetricsRegistry()
-    flush_batch()  # settle any enclosing batched capture first
     previous_tracer = set_tracer(capture_tracer)
     previous_registry = set_registry(capture_registry)
     previous_state = runtime.state()
@@ -126,7 +117,6 @@ def capture(
     try:
         yield capture_tracer, capture_registry
     finally:
-        flush_batch(capture_registry)
         runtime.restore(previous_state)
         set_tracer(previous_tracer)
         set_registry(previous_registry)

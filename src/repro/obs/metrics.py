@@ -11,14 +11,14 @@ Histograms are fixed-bucket (cumulative counts per upper bound, plus
 an overflow bucket) -- enough for packet-size and hop-latency
 distributions without holding every sample.
 
-The ``counters`` and ``sampled`` observability tiers do not touch the
-registry from the hot loop at all: deliveries and ledger batches fold
-into the process-wide slotted :class:`MetricsBatch` accumulator
-(:data:`BATCH`), which :func:`flush_batch` merges into the registry
-once per capture.  The merge reproduces exactly the instruments a
-``full``-mode run would have created -- same names, same counts, same
-histogram buckets, byte-equal snapshots -- because the batch observes
-values in the same delivery order and folds each total exactly once.
+The hot loops (simulator events, deliveries, drops, ledger batches,
+segment seals and spills) do not look instruments up by name: in every
+tier that records metrics they bump plain accumulators on the current
+registry (``registry.events += 1``, :meth:`MetricsRegistry.note_delivery`).
+Every read folds those pending counts into the named instruments first,
+observing histogram values in arrival order, so a read is complete at
+any time and its float sums are bit-equal to observing each value as
+it happens.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricsBatch",
     "MetricsRegistry",
     "SIZE_BUCKETS",
     "LATENCY_BUCKETS",
-    "BATCH",
-    "flush_batch",
-    "reset_batch",
     "get_registry",
     "set_registry",
 ]
@@ -134,18 +130,115 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments, get-or-created on first use."""
+    """Named instruments, get-or-created on first use.
+
+    The public attributes below are the hot-loop accumulators: plain
+    counts that instrumented hot paths bump directly, folded into the
+    instruments they name on every read.
+    """
+
+    #: Raw histogram values buffered before they are bucketed -- deep
+    #: enough to amortize bucketing, small enough to bound memory.
+    DRAIN_THRESHOLD = 4096
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._clear_pending()
 
-    def counter(self, name: str) -> Counter:
+    def _clear_pending(self) -> None:
+        #: ``sim.events``
+        self.events = 0
+        #: ``net.messages`` / ``net.bytes``
+        self.messages = 0
+        self.bytes = 0
+        #: ``net.packets_dropped``
+        self.dropped = 0
+        #: ``ledger.observations[.<channel>]``, by channel
+        self.observations: Dict[str, int] = {}
+        #: ``ledger.segments.sealed`` / ``.spilled``, ``ledger.rows.spilled``
+        self.segments_sealed = 0
+        self.segments_spilled = 0
+        self.rows_spilled = 0
+        #: Raw ``net.packet_bytes`` / ``net.hop_latency`` values.
+        self._sizes: List[float] = []
+        self._latencies: List[float] = []
+
+    def note_delivery(self, size: int, latency: float) -> None:
+        """Account one delivered packet: two adds and two appends."""
+        self.messages += 1
+        self.bytes += size
+        sizes = self._sizes
+        sizes.append(size)
+        self._latencies.append(latency)
+        if len(sizes) >= self.DRAIN_THRESHOLD:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Bucket the buffered raw values, in arrival order."""
+        sizes, latencies = self._sizes, self._latencies
+        if sizes:
+            observe = self._histogram("net.packet_bytes", SIZE_BUCKETS).observe
+            for value in sizes:
+                observe(value)
+            observe = self._histogram("net.hop_latency", LATENCY_BUCKETS).observe
+            for value in latencies:
+                observe(value)
+            sizes.clear()
+            latencies.clear()
+
+    def _fold(self) -> None:
+        """Move every pending accumulator into its named instrument.
+
+        An instrument appears only once something was counted for it,
+        exactly as if each value had been written as it happened:
+        ``net.bytes`` follows the message count (a zero-size packet
+        still creates it), and a ledger batch of zero rows still
+        creates its channel's counter.
+        """
+        self._drain()
+        counter = self._counter
+        if self.events:
+            counter("sim.events").value += self.events
+            self.events = 0
+        if self.messages:
+            counter("net.messages").value += self.messages
+            counter("net.bytes").value += self.bytes
+            self.messages = self.bytes = 0
+        if self.dropped:
+            counter("net.packets_dropped").value += self.dropped
+            self.dropped = 0
+        if self.observations:
+            total = counter("ledger.observations")
+            for channel, count in self.observations.items():
+                total.value += count
+                counter(f"ledger.observations.{channel}").value += count
+            self.observations.clear()
+        if self.segments_sealed:
+            counter("ledger.segments.sealed").value += self.segments_sealed
+            self.segments_sealed = 0
+        if self.segments_spilled:
+            # A spill always drops rows, so the two counters appear together.
+            counter("ledger.segments.spilled").value += self.segments_spilled
+            counter("ledger.rows.spilled").value += self.rows_spilled
+            self.segments_spilled = self.rows_spilled = 0
+
+    def _counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
+
+    def _histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name, buckets)
+        return histogram
+
+    def counter(self, name: str) -> Counter:
+        self._fold()
+        return self._counter(name)
 
     def gauge(self, name: str) -> Gauge:
         gauge = self._gauges.get(name)
@@ -156,18 +249,23 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Sequence[float] = SIZE_BUCKETS
     ) -> Histogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, buckets)
-        return histogram
+        self._fold()
+        return self._histogram(name, buckets)
 
     def counter_value(self, name: str, default: int = 0) -> int:
         """Read a counter without creating it."""
+        self._fold()
         counter = self._counters.get(name)
         return counter.value if counter is not None else default
 
+    def counters(self) -> Dict[str, int]:
+        """Every counter's value, by name, in name order."""
+        self._fold()
+        return {name: self._counters[name].value for name in sorted(self._counters)}
+
     def snapshot(self) -> List[Dict[str, Any]]:
         """Every instrument as a plain dict, counters first, by name."""
+        self._fold()
         rows: List[Dict[str, Any]] = []
         for group in (self._counters, self._gauges, self._histograms):
             for name in sorted(group):
@@ -178,175 +276,11 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
+        self._clear_pending()
 
     def __len__(self) -> int:
+        self._fold()
         return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-
-class MetricsBatch:
-    """Slotted per-batch accumulators for the batched obs tiers.
-
-    One process-wide instance (:data:`BATCH`) absorbs the per-delivery
-    and per-ledger-batch accounting that ``full`` mode would write to
-    the registry per value: plain attribute increments and two local
-    histograms, no registry lookups, no name formatting.  The whole
-    batch folds into a :class:`MetricsRegistry` in one
-    :meth:`flush` -- instruments are only created for non-zero
-    accumulators, so a flushed ``counters``-mode registry snapshot is
-    byte-equal to the ``full``-mode one for the same run.
-    """
-
-    #: Raw histogram values buffered before a drain -- deep enough to
-    #: amortize bucketing, small enough to bound batch memory.
-    DRAIN_THRESHOLD = 4096
-
-    __slots__ = (
-        "events",
-        "messages",
-        "bytes",
-        "dropped",
-        "packet_bytes",
-        "hop_latency",
-        "observations",
-        "segments_sealed",
-        "segments_spilled",
-        "rows_spilled",
-        "_sizes",
-        "_latencies",
-    )
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.messages = 0
-        self.bytes = 0
-        self.dropped = 0
-        self.packet_bytes = Histogram("net.packet_bytes", SIZE_BUCKETS)
-        self.hop_latency = Histogram("net.hop_latency", LATENCY_BUCKETS)
-        self.observations: Dict[str, int] = {}
-        self.segments_sealed = 0
-        self.segments_spilled = 0
-        self.rows_spilled = 0
-        self._sizes: List[float] = []
-        self._latencies: List[float] = []
-
-    def note_delivery(self, size: int, latency: Optional[float]) -> None:
-        """Account one delivered packet (``latency`` may be unknown).
-
-        Histogram values are appended raw and bucketed later (at the
-        capture-exit flush, or every :data:`DRAIN_THRESHOLD` values) so
-        the per-delivery cost is two int adds and a list append.  The
-        drain observes values in arrival order, which keeps the folded
-        float totals bit-equal to ``full`` mode's per-value sums.
-        """
-        self.messages += 1
-        self.bytes += size
-        sizes = self._sizes
-        sizes.append(size)
-        if latency is not None:
-            self._latencies.append(latency)
-        if len(sizes) >= self.DRAIN_THRESHOLD:
-            self._drain()
-
-    def note_observations(self, channel: str, count: int) -> None:
-        """Account one ledger batch of ``count`` observations."""
-        observations = self.observations
-        observations[channel] = observations.get(channel, 0) + count
-
-    def note_segment(
-        self, *, sealed: int = 0, spilled: int = 0, rows_spilled: int = 0
-    ) -> None:
-        """Account ledger segment lifecycle events (seal / spill)."""
-        self.segments_sealed += sealed
-        self.segments_spilled += spilled
-        self.rows_spilled += rows_spilled
-
-    def _drain(self) -> None:
-        """Bucket the buffered raw values into the local histograms."""
-        if self._sizes:
-            observe = self.packet_bytes.observe
-            for value in self._sizes:
-                observe(value)
-            self._sizes.clear()
-        if self._latencies:
-            observe = self.hop_latency.observe
-            for value in self._latencies:
-                observe(value)
-            self._latencies.clear()
-
-    def clear(self) -> None:
-        self.events = 0
-        self.messages = 0
-        self.bytes = 0
-        self.dropped = 0
-        self.packet_bytes = Histogram("net.packet_bytes", SIZE_BUCKETS)
-        self.hop_latency = Histogram("net.hop_latency", LATENCY_BUCKETS)
-        self.observations.clear()
-        self.segments_sealed = 0
-        self.segments_spilled = 0
-        self.rows_spilled = 0
-        self._sizes.clear()
-        self._latencies.clear()
-
-    @staticmethod
-    def _fold_histogram(registry: "MetricsRegistry", local: Histogram) -> None:
-        if not local.count:
-            return
-        histogram = registry.histogram(local.name, local.buckets)
-        counts = histogram.counts
-        for index, count in enumerate(local.counts):
-            if count:
-                counts[index] += count
-        histogram.count += local.count
-        histogram.total += local.total
-        if histogram.min is None or local.min < histogram.min:
-            histogram.min = local.min
-        if histogram.max is None or local.max > histogram.max:
-            histogram.max = local.max
-
-    def flush(self, registry: "MetricsRegistry") -> None:
-        """Merge every non-zero accumulator into ``registry``; reset."""
-        self._drain()
-        if self.events:
-            registry.counter("sim.events").inc(self.events)
-        if self.messages:
-            # ``full`` mode creates ``net.bytes`` per delivery even for
-            # zero-size packets, so its existence follows messages, not
-            # the byte total.
-            registry.counter("net.messages").inc(self.messages)
-            registry.counter("net.bytes").inc(self.bytes)
-        self._fold_histogram(registry, self.packet_bytes)
-        self._fold_histogram(registry, self.hop_latency)
-        if self.dropped:
-            registry.counter("net.packets_dropped").inc(self.dropped)
-        if self.observations:
-            total = sum(self.observations.values())
-            registry.counter("ledger.observations").inc(total)
-            for channel in sorted(self.observations):
-                registry.counter(f"ledger.observations.{channel}").inc(
-                    self.observations[channel]
-                )
-        if self.segments_sealed:
-            registry.counter("ledger.segments.sealed").inc(self.segments_sealed)
-        if self.segments_spilled:
-            registry.counter("ledger.segments.spilled").inc(self.segments_spilled)
-        if self.rows_spilled:
-            registry.counter("ledger.rows.spilled").inc(self.rows_spilled)
-        self.clear()
-
-
-#: The process-wide batch accumulator.  A singleton mutated in place --
-#: hot modules bind it once at import time -- so never rebind it.
-BATCH = MetricsBatch()
-
-
-def flush_batch(registry: Optional[MetricsRegistry] = None) -> None:
-    """Fold :data:`BATCH` into ``registry`` (default: the process one)."""
-    BATCH.flush(registry if registry is not None else get_registry())
-
-
-def reset_batch() -> None:
-    """Drop any pending batched accounting (test isolation)."""
-    BATCH.clear()
 
 
 _default_registry = MetricsRegistry()

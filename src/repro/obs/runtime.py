@@ -10,26 +10,24 @@ Since PR 8 the switch is a *mode*, not a boolean.  Four tiers:
 ``off``
     Nothing is recorded.
 ``counters``
-    Metrics only.  Deliveries and ledger batches fold into the slotted
-    :class:`repro.obs.metrics.MetricsBatch` accumulator, which is
-    merged into the :class:`~repro.obs.metrics.MetricsRegistry` once
-    per capture (not once per value).  No spans.
+    Metrics only.  Hot paths bump the current
+    :class:`~repro.obs.metrics.MetricsRegistry`'s accumulators, which
+    every read folds into the named instruments.  No spans.
 ``sampled``
-    Metrics (batched, as in ``counters``) plus a seeded head-based
-    span sampler: a deterministic subset of ``transact`` / ``deliver``
-    / ``experiment`` spans is traced; the rest record nothing.  Same
+    Metrics (as in ``counters``) plus a seeded head-based span
+    sampler: a deterministic subset of ``transact`` / ``deliver`` /
+    ``experiment`` spans is traced; the rest record nothing.  Same
     seed => byte-identical sampled span set.
 ``full``
-    The pre-PR 8 behaviour, byte-identical to the old
-    ``obs.capture()``: every span, every per-value metric.
+    What ``obs.capture()`` records by default: every span, and the
+    same metrics as every other tier.
 
 Three derived booleans are what instrumented code actually checks:
 
-* :data:`ENABLED`  -- full-fidelity instrumentation (``full`` only):
-  every delivery is traced, and ``counters`` / ``sampled`` keep
-  batched metrics.
-* :data:`COUNTERS` -- some metric recording is active (``counters`` /
-  ``sampled`` / ``full``).
+* :data:`ENABLED`  -- every span (``full`` only): every delivery and
+  ``transact`` is traced.  ``ENABLED`` implies :data:`TRACING`.
+* :data:`COUNTERS` -- metrics are recorded (``counters`` /
+  ``sampled`` / ``full``), all through the one registry path.
 * :data:`TRACING`  -- spans may record (``sampled`` / ``full``).
 
 :data:`SAMPLER` holds the :class:`SpanSampler` in ``sampled`` mode and
@@ -159,8 +157,8 @@ ENV_MODE: Optional[str] = _env_mode()
 #: The current tier.
 MODE: str = ENV_MODE or "off"
 
-#: Full-fidelity gate (``full`` only): per-value metrics and a span for
-#: every delivery, checked again when each delivery fires.
+#: Every-span gate (``full`` only): a span for every delivery, checked
+#: again when each delivery fires.
 ENABLED: bool = MODE == "full"
 
 #: Any metric recording active (``counters`` / ``sampled`` / ``full``).
@@ -226,13 +224,7 @@ def state() -> Tuple[str, Optional[SpanSampler]]:
 
 def restore(saved: Tuple[str, Optional[SpanSampler]]) -> None:
     """Reinstall a pair captured by :func:`state`."""
-    mode, sampler = saved
-    global MODE, ENABLED, COUNTERS, TRACING, SAMPLER
-    MODE = mode
-    ENABLED = mode == "full"
-    COUNTERS = mode in ("counters", "sampled", "full")
-    TRACING = mode in ("sampled", "full")
-    SAMPLER = sampler if mode == "sampled" else None
+    set_mode(*saved)
 
 
 def enable() -> None:

@@ -190,9 +190,7 @@ class Tracer:
     @property
     def enabled(self) -> bool:
         if self._enabled is None:
-            # ``sampled`` mode records spans too (TRACING); the plain
-            # ENABLED check keeps legacy direct-flag flips working.
-            return runtime.TRACING or runtime.ENABLED
+            return runtime.TRACING
         return self._enabled
 
     @property

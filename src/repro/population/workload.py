@@ -111,6 +111,12 @@ def _verdicts_match(world: World, streaming: DecouplingAnalyzer) -> bool:
     return str(streaming.verdict()) == str(fresh.verdict())
 
 
+def check_scale_workload(observations: int) -> None:
+    """Reject a row target below one arrival (four observations)."""
+    if observations < 4:
+        raise ValueError("scale workload needs at least one arrival (4 rows)")
+
+
 def run_scale_workload(
     *,
     users: int,
@@ -132,8 +138,7 @@ def run_scale_workload(
     evenly spaced points (plus once at the end), comparing each answer
     to a fresh analyzer over the same rows.
     """
-    if observations < 4:
-        raise ValueError("scale workload needs at least one arrival (4 rows)")
+    check_scale_workload(observations)
     world = build_scale_world()
     ledger = world.ledger
     if segment_rows is not None:

@@ -241,6 +241,11 @@ class TestScale:
         assert code == 2
         assert "at least one" in output
 
+    def test_scale_rejects_fewer_observations_than_one_arrival(self):
+        code, output = _run(["scale", "--users", "10", "--observations", "3"])
+        assert code == 2
+        assert output == "scale workload needs at least one arrival (4 rows)\n"
+
     def test_scale_sweep_honours_every_flag(self):
         """A comma list of users runs every point with the given
         observations, segment size, spill policy and checkpoints."""

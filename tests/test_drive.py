@@ -122,7 +122,6 @@ def test_counters_mode_records_metrics_without_spans():
         _send_one(user, server)
         network.run()
     assert tracer.spans == []
-    # The batch folded into the capture registry on exit.
     assert registry.counter_value("net.messages") == 1
     assert registry.counter_value("sim.events") >= 1
     assert registry.counter_value("ledger.observations") >= 1
@@ -136,17 +135,16 @@ def test_sampled_mode_traces_a_subset():
     deliver_spans = tracer.by_name("deliver")
     assert deliver_spans, "a 0.4 sampler over a mixnet run must trace some"
     assert len(deliver_spans) < network.messages_delivered
-    # Batched metrics still cover *every* delivery, traced or not.
+    # Metrics still cover *every* delivery, traced or not.
     assert registry.counter_value("net.messages") == network.messages_delivered
 
 
 def test_counters_mode_totals_byte_equal_full_mode():
     """A counters-mode registry snapshot == the full-mode one, bit for bit.
 
-    The batch observes values in delivery order and folds each total
-    exactly once into zeroed instruments, so even the float histogram
-    sums come out identical.  (``snapshot()`` sorts by name, so the
-    differing instrument-creation order cannot show through.)
+    Every tier counts through the same registry accumulators, which
+    observe histogram values in delivery order, so even the float
+    histogram sums come out identical.
     """
     with obs.capture(mode="counters") as (_tracer, counters_registry):
         counters_run = run_scenario("mixnet")

@@ -276,3 +276,9 @@ class TestResilienceSweep:
     def test_resilience_cli_rejects_unknown_scenario(self):
         out = io.StringIO()
         assert main(["resilience", "--scenarios", "nope"], out=out) == 2
+
+    def test_resilience_cli_rejects_an_empty_scenario_list(self):
+        out = io.StringIO()
+        code = main(["resilience", "--scenarios", ",", "--rates", "0.0"], out=out)
+        assert code == 2
+        assert out.getvalue() == "--scenarios needs at least one scenario id\n"

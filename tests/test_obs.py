@@ -339,6 +339,30 @@ class TestMetricsEdgeCases:
         assert histogram.counts == [1, 1, 1]
         assert histogram.min == 10 and histogram.max == 101
 
+    def test_noted_deliveries_fold_like_per_value_observes(self):
+        """Deliveries past the drain threshold, with a read mid-way, fold
+        into the same instruments, float sums included, as observing
+        each value as it happens."""
+        import random
+
+        from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS
+
+        rng = random.Random(3)
+        deliveries = [
+            (rng.randrange(2000), rng.random() / 7)
+            for _ in range(2 * MetricsRegistry.DRAIN_THRESHOLD + 5)
+        ]
+        registry, reference = MetricsRegistry(), MetricsRegistry()
+        for index, (size, latency) in enumerate(deliveries):
+            registry.note_delivery(size, latency)
+            if index == 100:
+                registry.snapshot()
+            reference.histogram("net.packet_bytes", SIZE_BUCKETS).observe(size)
+            reference.histogram("net.hop_latency", LATENCY_BUCKETS).observe(latency)
+        reference.counter("net.messages").inc(len(deliveries))
+        reference.counter("net.bytes").inc(sum(size for size, _ in deliveries))
+        assert registry.snapshot() == reference.snapshot()
+
     def test_counter_merge_across_workers(self):
         """Per-worker counter snapshots fold into one totals mapping,
 

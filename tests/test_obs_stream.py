@@ -19,9 +19,10 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.net.sim import Simulator
 from repro.obs import export as obs_export
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import BATCH, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.scenario import run_scenario
 
@@ -165,18 +166,23 @@ def test_capture_rejects_unknown_mode():
             pass
 
 
+def _simulate(events):
+    simulator = Simulator()
+    for _ in range(events):
+        simulator.schedule(0.0, lambda: None)
+    simulator.run_until_idle()
+
+
 def test_nested_capture_settles_enclosing_batch():
-    """Entering a nested capture must not lose the outer batch's counts."""
+    """A nested capture neither loses nor takes the outer capture's counts."""
     with obs.capture(mode="counters") as (_t, outer_registry):
-        BATCH.events += 3
+        _simulate(3)
         with obs.capture(mode="counters") as (_t2, inner_registry):
-            BATCH.events += 2
+            _simulate(2)
         assert inner_registry.counter_value("sim.events") == 2
-        # The outer events were flushed into the outer registry when the
-        # nested capture began, not dropped.
         assert outer_registry.counter_value("sim.events") == 3
-    assert outer_registry.counter_value("sim.events") == 3
-    assert BATCH.events == 0
+        _simulate(1)
+    assert outer_registry.counter_value("sim.events") == 4
 
 
 def test_sampled_mode_installs_and_clears_sampler():

@@ -156,6 +156,11 @@ class TestRiskCommand:
         assert code == 2
         assert "unknown scenario" in output
 
+    def test_empty_scenario_list_fails_gracefully(self):
+        code, output = _run(["risk", "--scenarios", ","])
+        assert code == 2
+        assert output == "--scenarios needs at least one scenario id\n"
+
     def test_bad_profile_fails_gracefully(self, tmp_path):
         bad = tmp_path / "profile.json"
         bad.write_text('{"weights": {}}', encoding="utf-8")
@@ -273,6 +278,13 @@ class TestPrivcountCommand:
         code, output = _run(["privcount", "--collectors", ","])
         assert code == 2
         assert "at least one" in output
+
+    def test_cli_rejects_a_point_below_the_scenario_limit(self):
+        code, output = _run(
+            ["privcount", "--collectors", "1", "--share-keepers", "1"]
+        )
+        assert code == 2
+        assert output == "privcount needs at least two share keepers\n"
 
 
 class TestReportAndExplainIntegration:
