@@ -531,7 +531,7 @@ def _report(args, out) -> int:
         spans = (
             len(tracer.spans)
             if tracer is not None
-            else sum(s.spans + 1 for s in summaries)
+            else sum(s.spans + 1 for s in summaries) + sum(r.spans for r in sweep_results)
         )
         _print_trace_section(
             "Per-experiment timing / metrics",

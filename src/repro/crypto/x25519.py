@@ -5,19 +5,27 @@ scalar clamping, little-endian encodings, and the u-coordinate of the
 scalar multiple of ``u`` on Curve25519.  It takes one of two paths,
 chosen from ``u`` itself:
 
-- **u = 9, the base point.**  Every public key is a multiple of the
-  base point, so three of the five multiplications in an ODoH query
-  take this path.  It adds one precomputed multiple of B per 4-bit
-  window of the scalar on the birationally equivalent twisted Edwards
-  curve (edwards25519), then maps back with u = (Z + Y) / (Z - Y) --
-  the method of ref10's ``crypto_scalarmult_curve25519_base``, about
-  four times faster than the ladder.
-- **Any other u.**  The RFC 7748 Montgomery ladder.  A Diffie-Hellman
-  peer key is seen once, so no table would pay for itself.
+- **A u with a fixed-base table.**  It adds one precomputed multiple
+  of the point per 4-bit window of the scalar on the birationally
+  equivalent twisted Edwards curve (edwards25519), then maps back with
+  u = (Z + Y) / (Z - Y) -- the method of ref10's
+  ``crypto_scalarmult_curve25519_base``, about four times faster than
+  the ladder.  The base point u = 9 has its table from first use:
+  every public key is a multiple of it, three of the five
+  multiplications in an ODoH query.  Any other u gets its table once
+  the ladder calls it has taken have cost about what the table costs
+  to build; in an ODoH query that is the fourth multiplication, the
+  sender's ``exchange`` with the recipient's static key.
+- **Any other u.**  The RFC 7748 Montgomery ladder: a u seen too few
+  times to pay for a table (the fifth multiplication, the recipient's
+  ``exchange`` with a fresh ephemeral key), and a u with no
+  edwards25519 point (u = -1, and every u on the twist).
 
-Both paths give the bytes the plain ladder gives on every input,
-including 32 zero bytes for the low-order points.  Neither is constant
-time: constant-time behaviour is irrelevant to the decoupling analysis
+Tables and sighting counts live in small bounded maps keyed by u mod
+p, guarded by one lock; nothing is computed at import.  Both paths give
+the bytes the plain ladder gives on every input, including 32 zero
+bytes for the low-order points.  Neither is constant time:
+constant-time behaviour is irrelevant to the decoupling analysis
 (DESIGN.md).  Verified against the RFC's test vectors in
 ``tests/test_crypto_x25519_hpke.py`` and against the original ladder in
 ``tests/test_x25519_kernel.py``.
@@ -28,10 +36,11 @@ turn powers the ODoH and OHTTP models.
 
 from __future__ import annotations
 
-import functools
 import secrets
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["X25519PrivateKey", "x25519", "X25519_BASEPOINT"]
 
@@ -45,22 +54,58 @@ _D2 = 2 * _D % P
 #: The edwards25519 base point B (RFC 8032): y = 4/5, the point u = 9.
 _BASE_X = 15112221349535400772501151409588531511454012693041857206046113283949847762202
 _BASE_Y = 46316835694926478169428394003475163141307993866256225615783033603165251855960
+#: A square root of -1 mod p, 2**((p - 1) / 4) mod p.
+_SQRT_M1 = 19681161376707505956807079304988542015446066515923890162744021073123829784752
 
 #: Window width (bits) for fixed-base multiplication.  Four gives 64
-#: windows of 15 multiples: a 960-point table (~0.3 MiB, ~8 ms to
-#: build) and at most 64 point additions per base-point multiple:
-#: 0.27 ms per call against the ladder's 1.2 ms (2-vCPU x86-64 VM,
-#: CPython 3.11).
+#: windows of 15 multiples: a 960-point table per u (307 KiB, 4.6 ms
+#: to build) and at most 64 point additions per multiple: 0.27 ms per
+#: call against the ladder's 1.17 ms (2-vCPU x86-64 VM, CPython 3.11).
 _FIXED_BASE_WINDOW = 4
 
+#: Ladder calls a u other than 9 takes before it gets a table, by ski
+#: rental: its point and table cost 4.8 ms to build and save 0.9 ms on
+#: every later call, so six ladder calls lose about what the table
+#: costs (break-even at 5.3), and the 7th sighting builds it.  A u seen
+#: once -- the ephemeral key a recipient decapsulates -- never pays.
+_LADDER_CALLS = 6
+
+#: Most tables kept for u other than 9, the oldest evicted first.  A
+#: run seals every message to one static key (the ``odoh`` target's,
+#: the ``doh`` resolver's, the ``ohttp`` gateway's) and a process runs
+#: its runs one after another, so one table serves: replayed through
+#: these maps, the u of every X25519 call of ``repro report``,
+#: ``resilience`` and ``risk`` and of ``perfbench``'s ``odoh-hpke`` ops
+#: take the ladder exactly as often as with unbounded maps
+#: (docs/PERFORMANCE.md, "Bounded maps").
+_PEER_TABLES = 1
+
+#: Most u whose sightings are counted, the least recently seen evicted
+#: first.  ``Network.transact`` is synchronous and a run resolves its
+#: queries one after another, so between two calls on the static key
+#: comes one other u, the fresh ephemeral key the recipient
+#: decapsulates: two entries keep the static key counted.
+_SIGHTINGS = 2
+
 _Point = Tuple[int, int, int, int]
+_Table = Tuple[Tuple[_Point, ...], ...]
+
+#: u mod p -> its fixed-base table, oldest first.  u = 9's entry,
+#: built on its first use, is never evicted.
+_tables: "Dict[int, _Table]" = {}
+#: u mod p -> calls seen, for each u without a table.
+_sightings: "OrderedDict[int, int]" = OrderedDict()
+#: Guards both maps, so two threads never build one table twice.
+_lock = threading.Lock()
 
 
 def _decode_u_coordinate(u: bytes) -> int:
     if len(u) != 32:
         raise ValueError("u-coordinate must be 32 bytes")
     value = int.from_bytes(u, "little")
-    return value & ((1 << 255) - 1)  # mask the high bit per RFC 7748
+    # Mask the high bit per RFC 7748; reduce, so every encoding of a u
+    # is one key of the table maps.
+    return (value & ((1 << 255) - 1)) % P
 
 
 def _encode_u_coordinate(value: int) -> bytes:
@@ -146,18 +191,42 @@ def _cached(point: _Point) -> _Point:
     return (y - x) % P, (y + x) % P, t * _D2 % P, 2 * z % P
 
 
-@functools.lru_cache(maxsize=None)
-def _base_table() -> Tuple[Tuple[_Point, ...], ...]:
-    """The base point's fixed-base table, built on first use.
+def _edwards_point(u: int) -> Optional[_Point]:
+    """The edwards25519 point with Montgomery u-coordinate ``u``.
 
-    Row ``i`` holds ``d * 16**i * B`` (16 = 2**_FIXED_BASE_WINDOW) in
-    cached form for every nonzero window digit ``d``, so a base-point
-    multiple is one table entry per window of the scalar -- point
+    y = (u - 1) / (u + 1), and x is a square root of
+    (y**2 - 1) / (d y**2 + 1); the root's sign flips every multiple's
+    x and no u.  None for u = -1, which has no y, and for u on the
+    twist, where that quotient is not a square.  B's coordinates are
+    known, so u = 9 takes no square root.
+    """
+    if u == 9:
+        return _BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % P
+    if u == P - 1:
+        return None
+    y = (u - 1) * pow(u + 1, -1, P) % P
+    yy = y * y % P
+    xx = (yy - 1) * pow(_D * yy + 1, -1, P) % P
+    # p = 5 (mod 8): x or x * sqrt(-1) is a root if xx has one.
+    x = pow(xx, (P + 3) // 8, P)
+    if x * x % P != xx:
+        x = x * _SQRT_M1 % P
+        if x * x % P != xx:
+            return None
+    return x, y, 1, x * y % P
+
+
+def _table(point: _Point) -> _Table:
+    """The fixed-base table of ``point``.
+
+    Row ``i`` holds ``d * 16**i * point`` (16 = 2**_FIXED_BASE_WINDOW)
+    in cached form for every nonzero window digit ``d``, so a multiple
+    of ``point`` is one table entry per window of the scalar -- point
     additions only, no doublings.
     """
     width = 1 << _FIXED_BASE_WINDOW
     rows = []
-    row_base = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % P)
+    row_base = point
     for _ in range((255 + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW):
         step = _cached(row_base)
         row = [step]
@@ -170,17 +239,46 @@ def _base_table() -> Tuple[Tuple[_Point, ...], ...]:
     return tuple(rows)
 
 
-def _base_multiple(k: int) -> bytes:
-    """The u-coordinate of k * B, from the fixed-base table."""
+def _multiple(table: _Table, k: int) -> bytes:
+    """The u-coordinate of k times the table's point."""
     mask = (1 << _FIXED_BASE_WINDOW) - 1
     point = (0, 1, 1, 0)  # the identity
-    for row in _base_table():
+    for row in table:
         digit = k & mask
         if digit:
             point = _edwards_add(point, row[digit - 1])
         k >>= _FIXED_BASE_WINDOW
     _, y, z, _ = point
     return _u_bytes(z + y, z - y)
+
+
+def _table_for(u: int) -> Optional[_Table]:
+    """``u``'s fixed-base table, or None while ``u`` takes the ladder.
+
+    u = 9 gets its table on first use, any other u on the sighting
+    after its ``_LADDER_CALLS`` ladder calls.  A u with no edwards25519
+    point stays on the ladder and counts again from zero, so it pays
+    one failed square root per ``_LADDER_CALLS + 1`` calls.
+    """
+    with _lock:
+        table = _tables.get(u)
+        if table is not None:
+            return table
+        if u != 9:
+            seen = _sightings.pop(u, 0) + 1
+            if seen <= _LADDER_CALLS:
+                _sightings[u] = seen
+                if len(_sightings) > _SIGHTINGS:
+                    _sightings.popitem(last=False)
+                return None
+        point = _edwards_point(u)
+        if point is None:
+            return None
+        _tables[u] = table = _table(point)
+        peers = [v for v in _tables if v != 9]
+        if len(peers) > _PEER_TABLES:
+            del _tables[peers[0]]
+        return table
 
 
 def x25519(scalar: bytes, u: bytes = X25519_BASEPOINT) -> bytes:
@@ -191,9 +289,10 @@ def x25519(scalar: bytes, u: bytes = X25519_BASEPOINT) -> bytes:
     """
     k = _decode_scalar(scalar)
     x1 = _decode_u_coordinate(u)
-    if x1 % P == 9:
-        return _base_multiple(k)
-    return _ladder(k, x1)
+    table = _table_for(x1)
+    if table is None:
+        return _ladder(k, x1)
+    return _multiple(table, k)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,7 @@ class SweepResult:
     payload: object
     wall_ms: float = 0.0
     points: int = 0
+    spans: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
 
 
@@ -308,6 +309,7 @@ def _sweep_worker(index: int) -> SweepResult:
         payload=payload,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         points=len(tracer.by_name("sweep-point")),
+        spans=len(tracer.spans),
         counters=registry.counters(),
     )
 

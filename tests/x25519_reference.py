@@ -1,8 +1,9 @@
 """The original X25519 Montgomery ladder, kept as a test oracle.
 
-``repro.crypto.x25519`` multiplies the base point u = 9 on the
-equivalent twisted Edwards curve from a fixed-base table, and every
-other u with a leaner ladder that inverts with ``pow(z, -1, p)``.
+``repro.crypto.x25519`` multiplies the base point u = 9, and any u
+reused past its table's break-even, on the equivalent twisted Edwards
+curve from a fixed-base table, and every other u with a leaner ladder
+that inverts with ``pow(z, -1, p)``.
 This module keeps the function it replaced -- the RFC 7748 ladder with
 its ``_cswap`` helper, a ``% P`` after every operation and Fermat
 inversion ``z ** (p - 2)`` -- exactly as it was, so
