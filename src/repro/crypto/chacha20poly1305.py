@@ -4,70 +4,142 @@ The AEAD used by HPKE and by the simulated transport layers.  The
 implementation follows RFC 8439 exactly: the ChaCha20 block function
 (section 2.3), counter-mode encryption (2.4), the Poly1305 MAC (2.5),
 the one-time-key derivation (2.6), and the AEAD construction (2.8).
-Verified against the RFC's test vectors in
-``tests/test_crypto_symmetric.py``.
+
+The block function holds the 4 x 4 word state as four integers, one
+per row (a, b, c, d), with each 32-bit word in the low half of its own
+64-bit lane, so one integer operation acts on four words at once:
+
+- a column round is four add-xor-rotate steps on whole rows;
+- a diagonal round is the same four steps after rotating the lanes of
+  b, c and d by one, two and three positions, which puts each diagonal
+  in one lane; the rows are rotated back after it.
+
+A carry out of a word lands in its lane's upper half, and a mask
+clears it.  Counter-mode encryption XORs the whole keystream with the
+message as one integer.  Verified against the RFC's test vectors in
+``tests/test_crypto_symmetric.py`` and against the quarter-round form
+it replaced (``tests/chacha20_reference.py``) in
+``tests/test_chacha20_kernel.py``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import Tuple
 
 from .hashutil import constant_time_equal
 
 __all__ = ["chacha20_block", "chacha20_encrypt", "poly1305_mac", "ChaCha20Poly1305"]
 
-_MASK32 = 0xFFFFFFFF
+#: The low 32 bits of each of a row's four 64-bit lanes.
+_LANES = 0x00000000FFFFFFFF00000000FFFFFFFF00000000FFFFFFFF00000000FFFFFFFF
+#: Row a: the constants "expand 32-byte k", one word per lane.
+_SIGMA = 0x000000006B2065740000000079622D32000000003320646E0000000061707865
+#: Blocks per (key, nonce): the block counter is one 32-bit word.
+_COUNTERS = 1 << 32
 
 
-def _rotl32(v: int, c: int) -> int:
-    return ((v << c) & _MASK32) | (v >> (32 - c))
+def _row(words: bytes) -> int:
+    """Up to four little-endian words, one per 64-bit lane."""
+    lanes = (words[0:4], words[4:8], words[8:12], words[12:16])
+    return int.from_bytes(b"\x00\x00\x00\x00".join(lanes), "little")
 
 
-def _quarter_round(state: List[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK32
-    state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK32
-    state[b] = _rotl32(state[b] ^ state[c], 7)
-
-
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """One 64-byte ChaCha20 keystream block (RFC 8439 section 2.3)."""
+def _rows(key: bytes, nonce: bytes) -> Tuple[int, int, int]:
+    """Rows b and c (the key), and row d with a zero counter."""
     if len(key) != 32:
         raise ValueError("key must be 32 bytes")
     if len(nonce) != 12:
         raise ValueError("nonce must be 12 bytes")
-    constants = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
-    state = list(constants)
-    state.extend(struct.unpack("<8L", key))
-    state.append(counter & _MASK32)
-    state.extend(struct.unpack("<3L", nonce))
-    working = state.copy()
+    return _row(key[:16]), _row(key[16:]), _row(nonce) << 64
+
+
+def _check_counter(counter: int) -> None:
+    if not 0 <= counter < _COUNTERS:
+        raise ValueError("counter must be in [0, 2**32)")
+
+
+def _block(b0: int, c0: int, d0: int) -> bytes:
+    """The keystream block of the state with rows ``_SIGMA``, b0, c0, d0.
+
+    A lane rotation leaves a copy of lanes above bit 256.  Each row is
+    masked by its next add-xor-rotate step, whose right shifts, by
+    less than 32 bits, move those bits no lower than lane 3's upper
+    half, which the mask clears.
+    """
+    m = _LANES  # a local: read 16 times a double round
+    a, b, c, d = _SIGMA, b0, c0, d0
     for _ in range(10):
-        _quarter_round(working, 0, 4, 8, 12)
-        _quarter_round(working, 1, 5, 9, 13)
-        _quarter_round(working, 2, 6, 10, 14)
-        _quarter_round(working, 3, 7, 11, 15)
-        _quarter_round(working, 0, 5, 10, 15)
-        _quarter_round(working, 1, 6, 11, 12)
-        _quarter_round(working, 2, 7, 8, 13)
-        _quarter_round(working, 3, 4, 9, 14)
-    out = [(w + s) & _MASK32 for w, s in zip(working, state)]
-    return struct.pack("<16L", *out)
+        # Column round.
+        a = (a + b) & m
+        d ^= a
+        d = (d << 16 | d >> 16) & m
+        c = (c + d) & m
+        b ^= c
+        b = (b << 12 | b >> 20) & m
+        a = (a + b) & m
+        d ^= a
+        d = (d << 8 | d >> 24) & m
+        c = (c + d) & m
+        b ^= c
+        b = (b << 7 | b >> 25) & m
+        # Diagonal round: lane i of b, c and d takes lane i + 1, i + 2
+        # and i + 3 (mod 4), so each diagonal lines up in lane i.
+        b = b >> 64 | b << 192
+        c = c >> 128 | c << 128
+        d = d >> 192 | d << 64
+        a = (a + b) & m
+        d ^= a
+        d = (d << 16 | d >> 16) & m
+        c = (c + d) & m
+        b ^= c
+        b = (b << 12 | b >> 20) & m
+        a = (a + b) & m
+        d ^= a
+        d = (d << 8 | d >> 24) & m
+        c = (c + d) & m
+        b ^= c
+        b = (b << 7 | b >> 25) & m
+        # Back to columns.
+        b = b >> 192 | b << 64
+        c = c >> 128 | c << 128
+        d = d >> 64 | d << 192
+    state = (
+        (a + _SIGMA) & m
+        | ((b + b0) & m) << 256
+        | ((c + c0) & m) << 512
+        | ((d + d0) & m) << 768
+    )
+    # Every second 32-bit word of the 128 bytes is a lane's empty half.
+    return struct.pack("<16L", *struct.unpack("<32L", state.to_bytes(128, "little"))[::2])
+
+
+def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """One 64-byte ChaCha20 keystream block (RFC 8439 section 2.3).
+
+    Raises ``ValueError`` for a ``counter`` outside [0, 2**32).
+    """
+    b0, c0, d0 = _rows(key, nonce)
+    _check_counter(counter)
+    return _block(b0, c0, d0 | counter)
 
 
 def chacha20_encrypt(key: bytes, counter: int, nonce: bytes, plaintext: bytes) -> bytes:
-    """ChaCha20 counter-mode encryption (RFC 8439 section 2.4)."""
-    out = bytearray()
-    for block_index in range(0, len(plaintext), 64):
-        keystream = chacha20_block(key, counter + block_index // 64, nonce)
-        chunk = plaintext[block_index : block_index + 64]
-        out.extend(x ^ y for x, y in zip(chunk, keystream))
-    return bytes(out)
+    """ChaCha20 counter-mode encryption (RFC 8439 section 2.4).
+
+    Raises ``ValueError`` for a ``counter`` outside [0, 2**32), and for
+    a message whose last block would need a counter past 2**32 - 1:
+    the counter would wrap to block 0, the Poly1305 one-time key.
+    """
+    b0, c0, d0 = _rows(key, nonce)
+    _check_counter(counter)
+    size = len(plaintext)
+    blocks = -(-size // 64)
+    if counter + blocks > _COUNTERS:
+        raise ValueError("message too long: its last block would pass counter 2**32 - 1")
+    keystream = b"".join(_block(b0, c0, d0 | (counter + i)) for i in range(blocks))
+    mixed = int.from_bytes(plaintext, "little") ^ int.from_bytes(keystream[:size], "little")
+    return mixed.to_bytes(size, "little")
 
 
 def _poly1305_clamp(r: int) -> int:

@@ -5,17 +5,17 @@ scalar clamping, little-endian encodings, and the u-coordinate of the
 scalar multiple of ``u`` on Curve25519.  It takes one of two paths,
 chosen from ``u`` itself:
 
-- **A u with a fixed-base table.**  It adds one precomputed multiple
-  of the point per 4-bit window of the scalar on the birationally
-  equivalent twisted Edwards curve (edwards25519), then maps back with
-  u = (Z + Y) / (Z - Y) -- the method of ref10's
-  ``crypto_scalarmult_curve25519_base``, about four times faster than
-  the ladder.  The base point u = 9 has its table from first use:
-  every public key is a multiple of it, three of the five
-  multiplications in an ODoH query.  Any other u gets its table once
-  the ladder calls it has taken have cost about what the table costs
-  to build; in an ODoH query that is the fourth multiplication, the
-  sender's ``exchange`` with the recipient's static key.
+- **A u with a fixed-base table.**  It reads the scalar as signed
+  radix-32 digits and adds one precomputed affine multiple of the
+  point per digit on the birationally equivalent twisted Edwards curve
+  (edwards25519), then maps back with u = (Z + Y) / (Z - Y) -- the
+  method of ref10's ``crypto_scalarmult_curve25519_base``, about five
+  times faster than the ladder.  The base point u = 9 has its table
+  from first use: every public key is a multiple of it, three of the
+  five multiplications in an ODoH query.  Any other u gets its table
+  once the ladder calls it has taken have cost about what the table
+  costs to build; in an ODoH query that is the fourth multiplication,
+  the sender's ``exchange`` with the recipient's static key.
 - **Any other u.**  The RFC 7748 Montgomery ladder: a u seen too few
   times to pay for a table (the fifth multiplication, the recipient's
   ``exchange`` with a fresh ephemeral key), and a u with no
@@ -57,18 +57,20 @@ _BASE_Y = 4631683569492647816942839400347516314130799386625622561578303360316525
 #: A square root of -1 mod p, 2**((p - 1) / 4) mod p.
 _SQRT_M1 = 19681161376707505956807079304988542015446066515923890162744021073123829784752
 
-#: Window width (bits) for fixed-base multiplication.  Four gives 64
-#: windows of 15 multiples: a 960-point table per u (307 KiB, 4.6 ms
-#: to build) and at most 64 point additions per multiple: 0.27 ms per
-#: call against the ladder's 1.17 ms (2-vCPU x86-64 VM, CPython 3.11).
-_FIXED_BASE_WINDOW = 4
+#: Digit width (bits) for fixed-base multiplication.  Five gives 51
+#: signed digits in [-16, 16) and a carry: a table of 52 rows of 16
+#: affine multiples per u (832 entries, 229 KiB, 10.7 ms to build) and
+#: at most 52 mixed additions per multiple: 0.37 ms per call against
+#: the ladder's 2.0 ms (2-vCPU x86-64 VM, CPython 3.11;
+#: docs/PERFORMANCE.md, "Fixed-base X25519").
+_FIXED_BASE_WINDOW = 5
 
 #: Ladder calls a u other than 9 takes before it gets a table, by ski
-#: rental: its point and table cost 4.8 ms to build and save 0.9 ms on
-#: every later call, so six ladder calls lose about what the table
-#: costs (break-even at 5.3), and the 7th sighting builds it.  A u seen
+#: rental: its point and table cost 11.0 ms to build and save 1.6 ms on
+#: every later call, so seven ladder calls lose about what the table
+#: costs (break-even at 7.0), and the 8th sighting builds it.  A u seen
 #: once -- the ephemeral key a recipient decapsulates -- never pays.
-_LADDER_CALLS = 6
+_LADDER_CALLS = 7
 
 #: Most tables kept for u other than 9, the oldest evicted first.  A
 #: run seals every message to one static key (the ``odoh`` target's,
@@ -88,7 +90,9 @@ _PEER_TABLES = 1
 _SIGHTINGS = 2
 
 _Point = Tuple[int, int, int, int]
-_Table = Tuple[Tuple[_Point, ...], ...]
+#: (y + x, y - x, 2dxy) of an affine point.
+_Entry = Tuple[int, int, int]
+_Table = Tuple[Tuple[_Entry, ...], ...]
 
 #: u mod p -> its fixed-base table, oldest first.  u = 9's entry,
 #: built on its first use, is never evicted.
@@ -219,36 +223,78 @@ def _edwards_point(u: int) -> Optional[_Point]:
 def _table(point: _Point) -> _Table:
     """The fixed-base table of ``point``.
 
-    Row ``i`` holds ``d * 16**i * point`` (16 = 2**_FIXED_BASE_WINDOW)
-    in cached form for every nonzero window digit ``d``, so a multiple
-    of ``point`` is one table entry per window of the scalar -- point
-    additions only, no doublings.
+    Row ``i`` holds ``j * 32**i * point`` (32 = 2**_FIXED_BASE_WINDOW)
+    for j = 1..16, the magnitudes of a signed radix-32 digit, so a
+    multiple of ``point`` is one table entry per digit of the scalar --
+    point additions only, no doublings.  The rows are built in extended
+    coordinates, then one batch inversion makes every entry affine,
+    (y + x, y - x, 2dxy): its Z is 1, so an addition needs no Z product.
     """
-    width = 1 << _FIXED_BASE_WINDOW
-    rows = []
+    half = 1 << (_FIXED_BASE_WINDOW - 1)
+    rows = (255 + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW + 1
+    multiples = []
     row_base = point
-    for _ in range((255 + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW):
+    for _ in range(rows):
         step = _cached(row_base)
-        row = [step]
         multiple = row_base
-        for _ in range(width - 2):
+        multiples.append(multiple)
+        for _ in range(half - 1):
             multiple = _edwards_add(multiple, step)
-            row.append(_cached(multiple))
-        rows.append(tuple(row))
-        row_base = _edwards_add(multiple, step)
-    return tuple(rows)
+            multiples.append(multiple)
+        row_base = _edwards_add(multiple, _cached(multiple))  # 2 * (16 * row_base)
+    # Montgomery's trick: one inversion of the product of every Z, then
+    # two multiplications per entry give each entry's 1/Z.
+    prefixes = []
+    product = 1
+    for _, _, z, _ in multiples:
+        prefixes.append(product)
+        product = product * z % P
+    inverse = pow(product, -1, P)
+    entries = []
+    while multiples:  # popped, so the build never holds both forms of every entry
+        x, y, z, t = multiples.pop()
+        z_inverse = inverse * prefixes.pop() % P
+        inverse = inverse * z % P
+        entries.append(
+            ((y + x) * z_inverse % P, (y - x) * z_inverse % P, t * z_inverse % P * _D2 % P)
+        )
+    entries.reverse()
+    return tuple(tuple(entries[i : i + half]) for i in range(0, len(entries), half))
 
 
 def _multiple(table: _Table, k: int) -> bytes:
-    """The u-coordinate of k times the table's point."""
+    """The u-coordinate of k times the table's point.
+
+    k is read as signed radix-32 digits in [-16, 16): a window of 16 or
+    more, carry included, becomes its value minus 32 and carries one
+    into the next, and the row after the last window takes the final
+    carry.  A negative digit adds the negated entry: -(x, y) = (-x, y)
+    swaps y + x with y - x and negates 2dxy.
+    """
     mask = (1 << _FIXED_BASE_WINDOW) - 1
-    point = (0, 1, 1, 0)  # the identity
+    half = 1 << (_FIXED_BASE_WINDOW - 1)
+    x, y, z, t = 0, 1, 1, 0  # the identity
+    carry = 0
     for row in table:
-        digit = k & mask
-        if digit:
-            point = _edwards_add(point, row[digit - 1])
+        digit = (k & mask) + carry
         k >>= _FIXED_BASE_WINDOW
-    _, y, z, _ = point
+        carry = digit >= half
+        if carry:
+            digit -= mask + 1
+        if digit > 0:
+            y_plus_x, y_minus_x, t2d = row[digit - 1]
+        elif digit:
+            y_minus_x, y_plus_x, t2d = row[-digit - 1]
+            t2d = -t2d
+        else:
+            continue
+        # Mixed addition (ref10's ge_madd): _edwards_add with Z2 = 1.
+        a = (y - x) * y_minus_x % P
+        b = (y + x) * y_plus_x % P
+        c = t * t2d % P
+        d = z + z
+        e, f, g, h = b - a, d - c, d + c, b + a
+        x, y, z, t = e * f % P, g * h % P, f * g % P, e * h % P
     return _u_bytes(z + y, z - y)
 
 

@@ -39,6 +39,24 @@ class TestChaCha20Rfc8439:
         # counter-mode is an involution
         assert chacha20_encrypt(key, 1, nonce, ciphertext) == plaintext
 
+    def test_counter_outside_32_bits_raises(self):
+        key, nonce = bytes(range(32)), bytes(12)
+        for counter in (-1, 2**32):
+            with pytest.raises(ValueError, match="counter"):
+                chacha20_block(key, counter, nonce)
+            with pytest.raises(ValueError, match="counter"):
+                chacha20_encrypt(key, counter, nonce, b"")
+
+    def test_encryption_past_the_last_counter_raises(self):
+        # A second block at counter 2**32 - 1 would wrap to block 0,
+        # the Poly1305 one-time-key block (RFC 8439 section 2.4).
+        key, nonce = bytes(range(32)), bytes(12)
+        last = 2**32 - 1
+        assert chacha20_encrypt(key, last, nonce, bytes(64)) == chacha20_block(key, last, nonce)
+        for counter, size in ((last, 65), (last, 128), (last - 1, 129)):
+            with pytest.raises(ValueError, match="counter"):
+                chacha20_encrypt(key, counter, nonce, bytes(size))
+
     def test_poly1305_vector_2_5_2(self):
         key = bytes.fromhex(
             "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b"

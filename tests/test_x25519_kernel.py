@@ -11,8 +11,11 @@ u reused past its build point: for public keys, for random u (about
 half on the twist, which must never get a table), for every 32-byte
 encoding of u = 9 and of a peer u, and for the edge and low-order u
 where the ladder's z reaches 0 -- where ``pow(0, -1, p)`` raises and
-the Fermat form gave 0.  Threads that reuse one u together must build
-its table once and lose none of its sightings.  Every test starts from
+the Fermat form gave 0.  Scalars at the edges of the table's signed
+digits -- a carry out of every digit, a carry into the extra top row,
+every digit negative -- are checked on u = 9 and on a peer u past its
+build point.  Threads that reuse one u together must build its table
+once and lose none of its sightings.  Every test starts from
 empty table and sighting maps, so test order cannot matter.
 """
 
@@ -102,6 +105,43 @@ EDGE_U = LOW_ORDER_U + [2**255 - 1]
 #: Every encoding of u = 4, a point of the curve other than the base
 #: point and small enough that u + p fits in 255 bits.
 PEER_ENCODINGS = [_u(4), _u(4 + 2**255), _u(4 + P), _u(4 + P + 2**255)]
+
+
+#: Digit width of the tables, and a digit's largest magnitude.
+WINDOW = x25519_module._FIXED_BASE_WINDOW
+HALF = 1 << (WINDOW - 1)
+
+
+def _every_window(value: int) -> bytes:
+    """A scalar with ``value`` in every window of its 255 bits."""
+    windows = -(-255 // WINDOW)
+    return sum(value << (WINDOW * i) for i in range(windows)).to_bytes(32, "little")
+
+
+#: Scalars at the edges of the signed-digit recoding, before clamping.
+EDGE_SCALARS = {
+    # Zero windows below a top window of 16: its digit is -16, and the
+    # top row takes the carry.
+    "smallest-clamped": (2**254).to_bytes(32, "little"),
+    # Windows of 31: each reads 32 with the carry below, digit 0.
+    "largest-clamped": (2**255 - 8).to_bytes(32, "little"),
+    # Each window carries into the next: -16, then -15 from there on.
+    "every-window-16": _every_window(HALF),
+    # The largest positive digit, 15, in every window but two: clamping
+    # makes the bottom one 8 and the top one 31 (digit -1, a carry).
+    "every-window-15": _every_window(HALF - 1),
+    "all-ones": b"\xff" * 32,
+}
+
+
+@pytest.mark.parametrize("scalar", EDGE_SCALARS.values(), ids=EDGE_SCALARS.keys())
+def test_signed_digit_edges_match_reference(scalar):
+    peer = x25519(bytes([3]) * 32, X25519_BASEPOINT)
+    for _ in range(REUSES):
+        x25519(bytes(range(32)), peer)
+    assert _key(peer) in x25519_module._tables
+    for u in (X25519_BASEPOINT, peer):
+        assert x25519(scalar, u) == reference_x25519(scalar, u)
 
 
 @given(SCALARS, BYTES32)
