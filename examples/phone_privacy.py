@@ -11,14 +11,14 @@ data plane gives a colluding core+gateway a linkage handle.
 Run:  python examples/phone_privacy.py
 """
 
-from repro.pgpp import run_baseline_cellular, run_pgpp
+from repro.scenario import run_scenario
 
 
 def main() -> None:
     print("=" * 64)
     print("Traditional cellular: the core's log is a named location trace")
     print("=" * 64)
-    baseline = run_baseline_cellular(users=3, cells=5, steps=4)
+    baseline = run_scenario("pgpp-baseline", users=3, cells=5, steps=4)
     print(baseline.table().render())
     print(baseline.analyzer.verdict())
     print("\nFirst mobility-log entries (time, imsi, cell):")
@@ -29,7 +29,7 @@ def main() -> None:
     print("=" * 64)
     print("PGPP: billing at the gateway, tokens at the core")
     print("=" * 64)
-    pgpp = run_pgpp(users=3, cells=5, steps=4, epochs=2)
+    pgpp = run_scenario("pgpp", users=3, cells=5, steps=4, epochs=2)
     print(pgpp.table().render())
     print(pgpp.analyzer.verdict())
     print("\nFirst mobility-log entries (time, imsi, cell):")
@@ -42,8 +42,8 @@ def main() -> None:
     print("=" * 64)
     print("The non-collusion assumption (section 4.1)")
     print("=" * 64)
-    out_of_band = run_pgpp(purchase_over_cellular=False)
-    over_cellular = run_pgpp(purchase_over_cellular=True)
+    out_of_band = run_scenario("pgpp", purchase_over_cellular=False)
+    over_cellular = run_scenario("pgpp", purchase_over_cellular=True)
     print(
         "token purchase out of band:     re-coupling coalitions =",
         [sorted(c) for c in out_of_band.analyzer.minimal_recoupling_coalitions(max_size=3)]

@@ -11,22 +11,21 @@ knowledge tables, collusion sets, and breach reports for each layer.
 Run:  python examples/private_browsing.py
 """
 
-from repro.mpr import run_mpr
-from repro.odns import run_odoh, run_plain_dns
+from repro.scenario import run_scenario
 
 
 def main() -> None:
     print("=" * 64)
     print("Layer 0: what a stock recursive resolver learns (baseline)")
     print("=" * 64)
-    baseline = run_plain_dns()
+    baseline = run_scenario("plain-dns")
     print(baseline.table().render())
     print(baseline.analyzer.verdict(), "\n")
 
     print("=" * 64)
     print("Layer 1: name resolution via ODoH (real HPKE on the wire)")
     print("=" * 64)
-    odoh = run_odoh()
+    odoh = run_scenario("odoh")
     print(odoh.table().render())
     print(odoh.analyzer.verdict())
     print(
@@ -41,7 +40,7 @@ def main() -> None:
     print("=" * 64)
     print("Layer 2: content fetch via a two-hop Multi-Party Relay")
     print("=" * 64)
-    mpr = run_mpr(relays=2, requests=3)
+    mpr = run_scenario("mpr", relays=2, requests=3)
     print(mpr.table().render())
     print(mpr.analyzer.verdict())
     print(f"Mean request latency through the chain: {mpr.mean_latency * 1000:.1f} ms")
@@ -56,7 +55,7 @@ def main() -> None:
     print("=" * 64)
     print(f"{'relays':>7} {'collusion resistance':>21} {'latency (ms)':>13}")
     for relays in (1, 2, 3, 4):
-        run = run_mpr(relays=relays, requests=2)
+        run = run_scenario("mpr", relays=relays, requests=2)
         resistance = run.analyzer.collusion_resistance()
         print(f"{relays:>7} {resistance:>21} {run.mean_latency * 1000:>13.1f}")
     print(

@@ -76,7 +76,8 @@ def decoupled_search() -> None:
     analyzer = DecouplingAnalyzer(world)
     print(analyzer.table(title="Decoupled search service").render())
     print(analyzer.verdict())
-    print("Minimal re-coupling coalitions:", analyzer.minimal_recoupling_coalitions())
+    coalitions = analyzer.minimal_recoupling_coalitions()
+    print("Minimal re-coupling coalitions:", [sorted(c) for c in coalitions])
     for report in analyzer.breach_reports():
         status = "breach-proof" if report.breach_proof else "EXPOSED"
         print(f"  breach of {report.organization}: {status}")

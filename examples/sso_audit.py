@@ -19,7 +19,7 @@ the Decoupling Principle applied to authentication.
 Run:  python examples/sso_audit.py
 """
 
-from repro.sso import run_sso
+from repro.scenario import run_scenario
 
 
 def main() -> None:
@@ -31,7 +31,7 @@ def main() -> None:
         ("anonymous", "blind tickets: the IdP attests without seeing the\n"
                       "destination; services admit without seeing the account"),
     ):
-        run = run_sso(mode)
+        run = run_scenario(f"sso-{mode}")
         print("=" * 64)
         print(run.table().render())
         print(run.analyzer.verdict())

@@ -9,12 +9,7 @@ changes who learns what, while the computed total stays identical.
 Run:  python examples/telemetry_aggregation.py
 """
 
-from repro.ppm import (
-    run_naive_aggregation,
-    run_ohttp_aggregation,
-    run_prio,
-    run_prio_histogram,
-)
+from repro.scenario import run_scenario
 
 
 def describe(run) -> None:
@@ -38,24 +33,24 @@ def main() -> None:
     print("=" * 64)
     print("1. Naive: every report lands, attributed, on one server")
     print("=" * 64)
-    describe(run_naive_aggregation(clients=clients))
+    describe(run_scenario("ppm-naive", clients=clients))
 
     print("=" * 64)
     print("2. OHTTP proxy: identity decoupled, individual values remain")
     print("=" * 64)
-    describe(run_ohttp_aggregation(clients=clients))
+    describe(run_scenario("ppm-ohttp", clients=clients))
 
     print("=" * 64)
     print("3. Prio/PPM: secret-shared, validity-checked, aggregate-only")
     print("=" * 64)
-    describe(run_prio(clients=clients, aggregators=2))
+    describe(run_scenario("prio", clients=clients, aggregators=2))
 
     print("=" * 64)
     print("Degrees of decoupling: aggregators vs. collusion resistance")
     print("=" * 64)
     print(f"{'aggregators':>12} {'collusion resistance':>21} {'messages':>9}")
     for count in (2, 3, 4):
-        run = run_prio(clients=clients, aggregators=count)
+        run = run_scenario("prio", clients=clients, aggregators=count)
         print(
             f"{count:>12} {run.analyzer.collusion_resistance():>21}"
             f" {run.network.messages_delivered:>9}"
@@ -70,7 +65,7 @@ def main() -> None:
     print("=" * 64)
     print("Bonus: histogram reports (which app version crashed?)")
     print("=" * 64)
-    run = run_prio_histogram(clients=clients, aggregators=2, buckets=4)
+    run = run_scenario("prio-histogram", clients=clients, aggregators=2, buckets=4)
     print(f"reported histogram: {run.reported_histogram}")
     print(f"ground truth:       {run.true_histogram}")
     print(

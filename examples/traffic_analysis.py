@@ -16,14 +16,15 @@ Run:  python examples/traffic_analysis.py
 import statistics
 
 from repro.adversary import PassiveCorrelator, correlation_accuracy
-from repro.mixnet import run_mixnet
+from repro.scenario import run_scenario
 
 
 def measure(batch, padding, chaff, seeds=range(6)):
     """Mean (timing accuracy, size accuracy, latency) over seeds."""
     timing, sizes, latency = [], [], []
     for seed in seeds:
-        run = run_mixnet(
+        run = run_scenario(
+            "mixnet",
             mixes=2,
             senders=8,
             batch_size=batch,

@@ -9,7 +9,7 @@ from .cash import (
     Seller,
     WITHDRAW_PROTOCOL,
 )
-from .scenario import DigitalCashRun, PAPER_TABLE_T1, run_digital_cash
+from .scenario import DigitalCashRun, PAPER_TABLE_T1
 
 __all__ = [
     "Bank",
@@ -20,6 +20,5 @@ __all__ = [
     "PAY_PROTOCOL",
     "DEPOSIT_PROTOCOL",
     "DigitalCashRun",
-    "run_digital_cash",
     "PAPER_TABLE_T1",
 ]

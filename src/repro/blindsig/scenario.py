@@ -1,6 +1,6 @@
 """The T1 scenario: digital cash end to end, plus the paper's table.
 
-Running :func:`run_digital_cash` executes withdrawals, purchases, and
+Running ``run_scenario("digital-cash")`` executes withdrawals, purchases, and
 deposits over the simulated network and returns everything a test or
 benchmark needs: the world (hence the ledger), the analyzer, and the
 paper's expected knowledge table for comparison.
@@ -19,12 +19,11 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .cash import Bank, Buyer, Seller
 
-__all__ = ["DigitalCashRun", "run_digital_cash", "PAPER_TABLE_T1"]
+__all__ = ["DigitalCashRun", "PAPER_TABLE_T1"]
 
 #: The paper's section 3.1.1 table, exactly as printed.
 PAPER_TABLE_T1: Dict[str, str] = {
@@ -108,24 +107,7 @@ register(
         ),
         expected=PAPER_TABLE_T1,
         entities=("Buyer", "Signer (Bank)", "Verifier (Bank)", "Seller"),
-        table_constant="PAPER_TABLE_T1",
         experiment_id="T1",
         order=10.0,
     )
 )
-
-
-def run_digital_cash(
-    coins: int = 3,
-    seed: int = 20221114,
-    key_bits: int = 512,
-    blind_withdrawals: bool = True,
-) -> DigitalCashRun:
-    """Withdraw and spend ``coins`` coins; return the analyzed run."""
-    return run_scenario(
-        "digital-cash",
-        coins=coins,
-        seed=seed,
-        key_bits=key_bits,
-        blind_withdrawals=blind_withdrawals,
-    )

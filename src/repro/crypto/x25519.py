@@ -58,11 +58,11 @@ _BASE_Y = 4631683569492647816942839400347516314130799386625622561578303360316525
 _SQRT_M1 = 19681161376707505956807079304988542015446066515923890162744021073123829784752
 
 #: Digit width (bits) for fixed-base multiplication.  Five gives 51
-#: signed digits in [-16, 16) and a carry: a table of 52 rows of 16
-#: affine multiples per u (832 entries, 229 KiB, 10.7 ms to build) and
-#: at most 52 mixed additions per multiple: 0.37 ms per call against
-#: the ladder's 2.0 ms (2-vCPU x86-64 VM, CPython 3.11;
-#: docs/PERFORMANCE.md, "Fixed-base X25519").
+#: signed digits in [-16, 16) and a carry: a table of 51 rows of 16
+#: affine multiples per u and a carry row of one (817 entries, 225 KiB,
+#: 10.5 ms to build) and at most 52 mixed additions per multiple:
+#: 0.37 ms per call against the ladder's 2.0 ms (2-vCPU x86-64 VM,
+#: CPython 3.11; docs/PERFORMANCE.md, "Fixed-base X25519").
 _FIXED_BASE_WINDOW = 5
 
 #: Ladder calls a u other than 9 takes before it gets a table, by ski
@@ -226,15 +226,17 @@ def _table(point: _Point) -> _Table:
     Row ``i`` holds ``j * 32**i * point`` (32 = 2**_FIXED_BASE_WINDOW)
     for j = 1..16, the magnitudes of a signed radix-32 digit, so a
     multiple of ``point`` is one table entry per digit of the scalar --
-    point additions only, no doublings.  The rows are built in extended
-    coordinates, then one batch inversion makes every entry affine,
-    (y + x, y - x, 2dxy): its Z is 1, so an addition needs no Z product.
+    point additions only, no doublings.  The row after the last window
+    takes the final carry, 0 or 1, so it holds its j = 1 entry only.
+    The rows are built in extended coordinates, then one batch inversion
+    makes every entry affine, (y + x, y - x, 2dxy): its Z is 1, so an
+    addition needs no Z product.
     """
     half = 1 << (_FIXED_BASE_WINDOW - 1)
-    rows = (255 + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW + 1
+    windows = (255 + _FIXED_BASE_WINDOW - 1) // _FIXED_BASE_WINDOW
     multiples = []
     row_base = point
-    for _ in range(rows):
+    for _ in range(windows):
         step = _cached(row_base)
         multiple = row_base
         multiples.append(multiple)
@@ -242,6 +244,7 @@ def _table(point: _Point) -> _Table:
             multiple = _edwards_add(multiple, step)
             multiples.append(multiple)
         row_base = _edwards_add(multiple, _cached(multiple))  # 2 * (16 * row_base)
+    multiples.append(row_base)  # the carry row
     # Montgomery's trick: one inversion of the product of every Z, then
     # two multiplications per entry give each entry's 1/Z.
     prefixes = []

@@ -21,16 +21,7 @@ from repro.obs.tracing import NOOP_SPAN, get_tracer
 from repro.core.audit import audit_grade
 from repro.core.metrics import DegreePoint, DegreeSweep
 from repro.core.report import ExperimentReport, compare_tables, flow_series
-from repro.mixnet import run_mixnet
-from repro.mpr import run_mpr
-from repro.pgpp import (
-    TrajectoryLinker,
-    extract_epoch_tracks,
-    run_pgpp,
-    tracking_accuracy,
-)
-from repro.ppm import run_prio
-from repro.privacypass import run_privacy_pass
+from repro.pgpp import TrajectoryLinker, extract_epoch_tracks, tracking_accuracy
 from repro.scenario import (
     register_sweep,
     run_scenario,
@@ -762,14 +753,14 @@ def privcount_sweep(
 
 
 def figure_f1_series(max_steps: int = 10):
-    run = run_mixnet(mixes=3, senders=4)
+    run = run_scenario("mixnet", mixes=3, senders=4)
     return flow_series(
         run.world.ledger, ["Mix 1", "Mix 2", "Mix 3", "Receiver"], max_steps
     )
 
 
 def figure_f2_series(max_steps: int = 10):
-    run = run_privacy_pass(tokens=1)
+    run = run_scenario("privacy-pass", tokens=1)
     return flow_series(run.world.ledger, ["Issuer", "Origin"], max_steps)
 
 
@@ -781,7 +772,7 @@ def sweep_relays(degrees=(1, 2, 3, 4, 5)) -> DegreeSweep:
         with get_tracer().span(
             "sweep-point", kind="harness", sweep="D1", degree=relays
         ):
-            run = run_mpr(relays=relays, requests=2)
+            run = run_scenario("mpr", relays=relays, requests=2)
         sweep.add(
             DegreePoint(
                 degree=relays,
@@ -802,7 +793,7 @@ def sweep_aggregators(degrees=(2, 3, 4, 5), clients: int = 6) -> DegreeSweep:
         with get_tracer().span(
             "sweep-point", kind="harness", sweep="D2", degree=count
         ):
-            run = run_prio(clients=clients, aggregators=count)
+            run = run_scenario("prio", clients=clients, aggregators=count)
         if run.reported_total != run.true_total:
             raise AssertionError("aggregate total diverged from ground truth")
         sweep.add(
@@ -830,8 +821,8 @@ def sweep_batches(
             with get_tracer().span(
                 "sweep-point", kind="harness", sweep="D3", degree=batch, seed=seed
             ):
-                run = run_mixnet(
-                    mixes=2, senders=8, batch_size=batch, seed=seed,
+                run = run_scenario(
+                    "mixnet", mixes=2, senders=8, batch_size=batch, seed=seed,
                     use_padding=use_padding,
                 )
             correlator = PassiveCorrelator(run.network.trace)
@@ -969,7 +960,9 @@ def sweep_tracking(populations=(2, 4, 8, 16), seeds=range(5)) -> List[Dict[str, 
             "sweep-point", kind="harness", sweep="D5", degree=users
         ):
             for seed in seeds:
-                run = run_pgpp(users=users, cells=6, steps=4, epochs=3, seed=seed)
+                run = run_scenario(
+                    "pgpp", users=users, cells=6, steps=4, epochs=3, seed=seed
+                )
                 tracks = extract_epoch_tracks(run.core.mobility_log)
                 chains = TrajectoryLinker().link(tracks)
                 accuracies.append(tracking_accuracy(chains, run.imsi_truth()))

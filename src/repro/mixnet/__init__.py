@@ -4,7 +4,7 @@ from .circuits import CIRCUIT_PROTOCOL, CircuitClient, OnionRouter
 from .mix import MIX_PROTOCOL, MixNode, MixReceiver, make_chaff
 from .onion import RoutingLayer, build_onion, make_message
 from .reply import DeliverBody, ReplyPacket, build_return_address, make_reply_body
-from .scenario import MixnetRun, paper_table_t2, run_mixnet
+from .scenario import MixnetRun, paper_table_t2
 
 __all__ = [
     "MixNode",
@@ -18,7 +18,6 @@ __all__ = [
     "build_return_address",
     "make_reply_body",
     "MixnetRun",
-    "run_mixnet",
     "paper_table_t2",
     "OnionRouter",
     "CircuitClient",

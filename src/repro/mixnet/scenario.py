@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core import metrics
 from repro.core.analysis import DecouplingAnalyzer
@@ -23,13 +23,12 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .mix import MIX_PROTOCOL, MixNode, MixReceiver
 from .onion import build_onion, make_message
 
-__all__ = ["MixnetRun", "run_mixnet", "paper_table_t2"]
+__all__ = ["MixnetRun", "paper_table_t2"]
 
 
 def paper_table_t2(mixes: int) -> Dict[str, str]:
@@ -301,34 +300,7 @@ register(
         ),
         expected=lambda params: paper_table_t2(params["mixes"]),
         entities=_mixnet_entities,
-        table_constant="paper_table_t2(mixes)",
         experiment_id="T2",
         order=20.0,
     )
 )
-
-
-def run_mixnet(
-    mixes: int = 3,
-    senders: int = 4,
-    batch_size: Optional[int] = None,
-    seed: int = 20221114,
-    link_latency: float = 0.010,
-    use_padding: bool = False,
-    shuffle: bool = True,
-    chaff_per_flush: int = 0,
-    mix_pool: Optional[int] = None,
-) -> MixnetRun:
-    """Send one message per sender through a cascade of ``mixes``."""
-    return run_scenario(
-        "mixnet",
-        mixes=mixes,
-        senders=senders,
-        batch_size=batch_size,
-        seed=seed,
-        link_latency=link_latency,
-        use_padding=use_padding,
-        shuffle=shuffle,
-        chaff_per_flush=chaff_per_flush,
-        mix_pool=mix_pool,
-    )

@@ -7,7 +7,7 @@ parameter generalizes the chain for the D1 degree-of-decoupling sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.values import Subject
@@ -20,12 +20,11 @@ from repro.scenario import (
     add_origin,
     client_ip_identity,
     register,
-    run_scenario,
 )
 
 from .relay import MprClient, build_relay_chain
 
-__all__ = ["MprRun", "run_mpr", "paper_table_t6", "PAPER_TABLE_T6"]
+__all__ = ["MprRun", "paper_table_t6", "PAPER_TABLE_T6"]
 
 
 def paper_table_t6(relays: int) -> Dict[str, str]:
@@ -140,24 +139,7 @@ register(
         ),
         expected=lambda params: paper_table_t6(params["relays"]),
         entities=_mpr_entities,
-        table_constant="PAPER_TABLE_T6",
         experiment_id="T6",
         order=60.0,
     )
 )
-
-
-def run_mpr(
-    relays: int = 2,
-    requests: int = 3,
-    geo_hint: Optional[str] = None,
-    link_latency: float = 0.010,
-) -> MprRun:
-    """Fetch ``requests`` pages through a chain of ``relays``."""
-    return run_scenario(
-        "mpr",
-        relays=relays,
-        requests=requests,
-        geo_hint=geo_hint,
-        link_latency=link_latency,
-    )

@@ -23,7 +23,7 @@ after the core is loaded.
 The usual entry point is :func:`capture`::
 
     with obs.capture() as (tracer, registry):
-        run = run_mixnet()
+        run = run_scenario("mixnet")
     print(export.render_span_tree(tracer.spans))
 
 which installs a fresh tracer/registry as the process defaults, turns

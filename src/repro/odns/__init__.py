@@ -9,15 +9,7 @@ from .odoh import (
     ObliviousTarget,
     OdohClient,
 )
-from .scenario import (
-    OdnsRun,
-    PAPER_TABLE_T4_ODNS,
-    PAPER_TABLE_T4_ODOH,
-    run_doh,
-    run_odns,
-    run_odoh,
-    run_plain_dns,
-)
+from .scenario import OdnsRun, PAPER_TABLE_T4_ODNS, PAPER_TABLE_T4_ODOH
 
 __all__ = [
     "ObliviousResolver",
@@ -30,10 +22,6 @@ __all__ = [
     "ODOH_PROTOCOL",
     "ODOH_UPSTREAM",
     "OdnsRun",
-    "run_plain_dns",
-    "run_doh",
-    "run_odns",
-    "run_odoh",
     "DohClient",
     "DohResolver",
     "DOH_PROTOCOL",

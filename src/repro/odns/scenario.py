@@ -26,7 +26,6 @@ from repro.scenario import (
     client_ip_identity,
     fetch_via_anonymized,
     register,
-    run_scenario,
 )
 
 from .doh import DohClient, DohResolver
@@ -35,10 +34,6 @@ from .odoh import ObliviousProxy, ObliviousTarget, OdohClient
 
 __all__ = [
     "OdnsRun",
-    "run_plain_dns",
-    "run_doh",
-    "run_odns",
-    "run_odoh",
     "PAPER_TABLE_T4_ODNS",
     "PAPER_TABLE_T4_ODOH",
 ]
@@ -265,7 +260,6 @@ register(
         params=(_QUERIES_PARAM, _SEED_PARAM),
         expected=PAPER_TABLE_T4_ODNS,
         entities=("Client", "Resolver", "Oblivious Resolver", "Origin"),
-        table_constant="PAPER_TABLE_T4_ODNS",
         experiment_id="T4a",
         order=40.0,
     )
@@ -283,7 +277,6 @@ register(
         ),
         expected=PAPER_TABLE_T4_ODOH,
         entities=("Client", "Oblivious Proxy", "Oblivious Target", "Origin"),
-        table_constant="PAPER_TABLE_T4_ODOH",
         experiment_id="T4b",
         order=41.0,
     )
@@ -314,23 +307,3 @@ register(
         order=43.0,
     )
 )
-
-
-def run_plain_dns(queries: int = 3) -> OdnsRun:
-    """The coupled baseline: a stock recursive resolver sees all."""
-    return run_scenario("plain-dns", queries=queries)
-
-
-def run_doh(queries: int = 3, key_seed: Optional[bytes] = b"\x51" * 32) -> OdnsRun:
-    """DNS over HTTPS: encrypted to the resolver, still coupled there."""
-    return run_scenario("doh", queries=queries, key_seed=key_seed)
-
-
-def run_odns(queries: int = 3) -> OdnsRun:
-    """The original ODNS protocol run."""
-    return run_scenario("odns", queries=queries)
-
-
-def run_odoh(queries: int = 3, key_seed: Optional[bytes] = b"\x42" * 32) -> OdnsRun:
-    """The ODoH protocol run (real HPKE on the wire)."""
-    return run_scenario("odoh", queries=queries, key_seed=key_seed)

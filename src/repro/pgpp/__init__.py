@@ -11,13 +11,7 @@ from .cellular import (
     UserEquipment,
 )
 from .gateway import AttachToken, PURCHASE_PROTOCOL, PgppGateway, TokenPurchaser
-from .scenario import (
-    BASELINE_TABLE_T5,
-    PAPER_TABLE_T5,
-    PgppRun,
-    run_baseline_cellular,
-    run_pgpp,
-)
+from .scenario import BASELINE_TABLE_T5, PAPER_TABLE_T5, PgppRun
 from .mobility import commuter, make_mobility, random_walk, stationary
 from .tracking import (
     EpochTrack,
@@ -40,8 +34,6 @@ __all__ = [
     "TokenPurchaser",
     "PURCHASE_PROTOCOL",
     "PgppRun",
-    "run_baseline_cellular",
-    "run_pgpp",
     "PAPER_TABLE_T5",
     "BASELINE_TABLE_T5",
     "EpochTrack",

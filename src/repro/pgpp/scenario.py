@@ -27,7 +27,6 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .cellular import BaseStation, CellularCore, UserEquipment
@@ -36,8 +35,6 @@ from .mobility import make_mobility
 
 __all__ = [
     "PgppRun",
-    "run_baseline_cellular",
-    "run_pgpp",
     "PAPER_TABLE_T5",
     "BASELINE_TABLE_T5",
 ]
@@ -316,7 +313,6 @@ register(
         ),
         expected=PAPER_TABLE_T5,
         entities=("User", "PGPP-GW", "NGC"),
-        table_constant="PAPER_TABLE_T5",
         experiment_id="T5",
         order=50.0,
     )
@@ -335,43 +331,6 @@ register(
         ),
         expected=BASELINE_TABLE_T5,
         entities=("User", "NGC"),
-        table_constant="BASELINE_TABLE_T5",
         order=51.0,
     )
 )
-
-
-def run_baseline_cellular(
-    users: int = 3,
-    cells: int = 4,
-    steps: int = 4,
-    seed: int = 20221114,
-) -> PgppRun:
-    """Traditional cellular: the core sees billing + IMSI + location."""
-    return run_scenario(
-        "pgpp-baseline", users=users, cells=cells, steps=steps, seed=seed
-    )
-
-
-def run_pgpp(
-    users: int = 3,
-    cells: int = 4,
-    steps: int = 4,
-    epochs: int = 2,
-    seed: int = 20221114,
-    purchase_over_cellular: bool = False,
-    imsi_mode: str = "shuffled",
-    mobility: str = "walk",
-) -> PgppRun:
-    """PGPP: gateway billing, token attach, rotating IMSIs."""
-    return run_scenario(
-        "pgpp",
-        users=users,
-        cells=cells,
-        steps=steps,
-        epochs=epochs,
-        seed=seed,
-        purchase_over_cellular=purchase_over_cellular,
-        imsi_mode=imsi_mode,
-        mobility=mobility,
-    )

@@ -15,14 +15,7 @@ from .prio import (
     PrioCollector,
     UPLOAD_PROTOCOL,
 )
-from .scenario import (
-    PAPER_TABLE_T7,
-    PpmRun,
-    run_naive_aggregation,
-    run_ohttp_aggregation,
-    run_prio,
-    run_prio_histogram,
-)
+from .scenario import PAPER_TABLE_T7, PpmRun
 
 __all__ = [
     "NaiveCollector",
@@ -37,9 +30,5 @@ __all__ = [
     "MPC_PROTOCOL",
     "COLLECT_PROTOCOL",
     "PpmRun",
-    "run_naive_aggregation",
-    "run_ohttp_aggregation",
-    "run_prio",
-    "run_prio_histogram",
     "PAPER_TABLE_T7",
 ]

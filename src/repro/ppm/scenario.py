@@ -14,7 +14,6 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .naive import NaiveCollector, OhttpRelay, ReportingClient
@@ -22,10 +21,6 @@ from .prio import PrioAggregator, PrioClient, PrioCollector, COLLECT_PROTOCOL
 
 __all__ = [
     "PpmRun",
-    "run_naive_aggregation",
-    "run_ohttp_aggregation",
-    "run_prio",
-    "run_prio_histogram",
     "PAPER_TABLE_T7",
 ]
 
@@ -264,7 +259,6 @@ register(
         ),
         expected=PAPER_TABLE_T7,
         entities=("Client", "Aggregator", "Collector"),
-        table_constant="PAPER_TABLE_T7",
         experiment_id="T7",
         order=70.0,
     )
@@ -307,38 +301,3 @@ register(
         order=73.0,
     )
 )
-
-
-def run_naive_aggregation(clients: int = 5, seed: int = 20221114) -> PpmRun:
-    """Baseline: one trusted server sees everything."""
-    return run_scenario("ppm-naive", clients=clients, seed=seed)
-
-
-def run_ohttp_aggregation(clients: int = 5, seed: int = 20221114) -> PpmRun:
-    """Intermediate: OHTTP hides identity, not individual values."""
-    return run_scenario("ppm-ohttp", clients=clients, seed=seed)
-
-
-def run_prio(
-    clients: int = 5,
-    aggregators: int = 2,
-    seed: int = 20221114,
-) -> PpmRun:
-    """The full PPM/Prio protocol with ``aggregators`` servers."""
-    return run_scenario("prio", clients=clients, aggregators=aggregators, seed=seed)
-
-
-def run_prio_histogram(
-    clients: int = 6,
-    aggregators: int = 2,
-    buckets: int = 4,
-    seed: int = 20221114,
-) -> PpmRun:
-    """The full PPM/Prio protocol over one-hot histogram reports."""
-    return run_scenario(
-        "prio-histogram",
-        clients=clients,
-        aggregators=aggregators,
-        buckets=buckets,
-        seed=seed,
-    )

@@ -1,6 +1,6 @@
 """Privacy Pass: anonymous proof-of-legitimacy tokens (section 3.2.1)."""
 
-from .scenario import PAPER_TABLE_T3, PrivacyPassRun, run_privacy_pass
+from .scenario import PAPER_TABLE_T3, PrivacyPassRun
 from .tokens import (
     ISSUE_PROTOCOL,
     Issuer,
@@ -20,6 +20,5 @@ __all__ = [
     "REDEEM_PROTOCOL",
     "VERIFY_PROTOCOL",
     "PrivacyPassRun",
-    "run_privacy_pass",
     "PAPER_TABLE_T3",
 ]

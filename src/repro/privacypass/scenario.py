@@ -13,12 +13,11 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .tokens import Issuer, PrivacyPassClient, ProtectedOrigin
 
-__all__ = ["PrivacyPassRun", "run_privacy_pass", "PAPER_TABLE_T3"]
+__all__ = ["PrivacyPassRun", "PAPER_TABLE_T3"]
 
 #: The paper's section 3.2.1 table, exactly as printed.
 PAPER_TABLE_T3: Dict[str, str] = {
@@ -87,13 +86,7 @@ register(
         ),
         expected=PAPER_TABLE_T3,
         entities=("Client", "Issuer", "Origin"),
-        table_constant="PAPER_TABLE_T3",
         experiment_id="T3",
         order=30.0,
     )
 )
-
-
-def run_privacy_pass(tokens: int = 3, seed: int = 20221114) -> PrivacyPassRun:
-    """Issue and redeem ``tokens`` tokens; return the analyzed run."""
-    return run_scenario("privacy-pass", tokens=tokens, seed=seed)

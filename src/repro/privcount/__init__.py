@@ -32,12 +32,7 @@ from .protocol import (
     TallyServer,
     UserAgent,
 )
-from .scenario import (
-    PRIVCOUNT_TABLE,
-    PrivcountRun,
-    run_privcount,
-    run_privcount_sharded,
-)
+from .scenario import PRIVCOUNT_TABLE, PrivcountRun
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -60,6 +55,4 @@ __all__ = [
     "UserAgent",
     "PRIVCOUNT_TABLE",
     "PrivcountRun",
-    "run_privcount",
-    "run_privcount_sharded",
 ]

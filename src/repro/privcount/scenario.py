@@ -32,7 +32,6 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .noise import DEFAULT_EPSILON, statistics_for
@@ -41,8 +40,6 @@ from .protocol import DataCollector, ShareKeeper, TallyServer, UserAgent
 __all__ = [
     "PrivcountRun",
     "PRIVCOUNT_TABLE",
-    "run_privcount",
-    "run_privcount_sharded",
 ]
 
 #: The expected knowledge table (an extension table, not a paper one).
@@ -243,7 +240,6 @@ register(
         ),
         expected=PRIVCOUNT_TABLE,
         entities=("Client", "Data Collector", "Share Keeper", "Tally Server"),
-        table_constant="PRIVCOUNT_TABLE",
         order=74.0,
     )
 )
@@ -264,43 +260,6 @@ register(
         ),
         expected=PRIVCOUNT_TABLE,
         entities=("Client", "Data Collector", "Share Keeper", "Tally Server"),
-        table_constant="PRIVCOUNT_TABLE",
         order=75.0,
     )
 )
-
-
-def run_privcount(
-    users: int = 4,
-    collectors: int = 1,
-    share_keepers: int = 2,
-    seed: int = 20221114,
-    **overrides,
-) -> PrivcountRun:
-    """One PrivCount measurement epoch (the baseline deployment)."""
-    return run_scenario(
-        "privcount",
-        users=users,
-        collectors=collectors,
-        share_keepers=share_keepers,
-        seed=seed,
-        **overrides,
-    )
-
-
-def run_privcount_sharded(
-    users: int = 6,
-    collectors: int = 3,
-    share_keepers: int = 3,
-    seed: int = 20221114,
-    **overrides,
-) -> PrivcountRun:
-    """The sharded deployment: users spread across collectors."""
-    return run_scenario(
-        "privcount-sharded",
-        users=users,
-        collectors=collectors,
-        share_keepers=share_keepers,
-        seed=seed,
-        **overrides,
-    )

@@ -88,10 +88,6 @@ class ScenarioSpec:
     params: Tuple[Param, ...] = ()
     expected: Optional[ExpectedTable] = None
     entities: Optional[EntityOrder] = None
-    #: The name of the paper-table constant this spec reproduces
-    #: (``PAPER_TABLE_T1``, ``EXPECTED_TABLES_SSO['global']``, ...);
-    #: purely documentary, checked by the registry-completeness test.
-    table_constant: str = ""
     experiment_id: Optional[str] = None
     order: float = 1000.0
     tags: Tuple[str, ...] = ()

@@ -7,7 +7,7 @@ from .provider import (
     ServiceProvider,
     SsoUser,
 )
-from .scenario import EXPECTED_TABLES_SSO, SsoRun, run_sso
+from .scenario import EXPECTED_TABLES_SSO, SsoRun
 
 __all__ = [
     "IdentityProvider",
@@ -16,6 +16,5 @@ __all__ = [
     "AUTHN_PROTOCOL",
     "LOGIN_PROTOCOL",
     "SsoRun",
-    "run_sso",
     "EXPECTED_TABLES_SSO",
 ]

@@ -13,12 +13,11 @@ from repro.scenario import (
     ScenarioRun,
     ScenarioSpec,
     register,
-    run_scenario,
 )
 
 from .provider import IdentityProvider, ServiceProvider, SsoUser
 
-__all__ = ["SsoRun", "run_sso", "EXPECTED_TABLES_SSO"]
+__all__ = ["SsoRun", "EXPECTED_TABLES_SSO"]
 
 #: Derived expectations (the paper describes the concern in prose; the
 #: tables are this reproduction's analysis of the three designs).
@@ -114,7 +113,6 @@ def _register_sso(mode: str, experiment_id: str, label: str, order: float) -> No
             ),
             expected=EXPECTED_TABLES_SSO[mode],
             entities=_SSO_ENTITIES,
-            table_constant=f"EXPECTED_TABLES_SSO[{mode!r}]",
             experiment_id=experiment_id,
             order=order,
         )
@@ -124,12 +122,3 @@ def _register_sso(mode: str, experiment_id: str, label: str, order: float) -> No
 _register_sso("global", "E2a", "global ids", 120.0)
 _register_sso("pairwise", "E2b", "pairwise ids", 121.0)
 _register_sso("anonymous", "E2c", "blind tickets", 122.0)
-
-
-def run_sso(mode: str = "global", logins_per_service: int = 2, seed: int = 20221114) -> SsoRun:
-    """One user logging into two services under the chosen design."""
-    if mode not in EXPECTED_TABLES_SSO:
-        raise ValueError("mode must be global, pairwise, or anonymous")
-    return run_scenario(
-        f"sso-{mode}", logins_per_service=logins_per_service, seed=seed
-    )

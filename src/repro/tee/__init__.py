@@ -3,13 +3,7 @@
 from .cacti import CACTI_PROTOCOL, CactiOrigin, CactiTee, RateProof, request_via_cacti
 from .enclave import AttestationAuthority, AttestationQuote, TeeEnclave
 from .phoenix import PHOENIX_PROTOCOL, PhoenixClient, PhoenixPop
-from .scenario import (
-    EXPECTED_TABLE_CACTI,
-    EXPECTED_TABLE_PHOENIX,
-    TeeRun,
-    run_cacti,
-    run_phoenix,
-)
+from .scenario import EXPECTED_TABLE_CACTI, EXPECTED_TABLE_PHOENIX, TeeRun
 
 __all__ = [
     "AttestationAuthority",
@@ -24,8 +18,6 @@ __all__ = [
     "PhoenixClient",
     "PHOENIX_PROTOCOL",
     "TeeRun",
-    "run_cacti",
-    "run_phoenix",
     "EXPECTED_TABLE_CACTI",
     "EXPECTED_TABLE_PHOENIX",
 ]

@@ -16,7 +16,6 @@ from repro.scenario import (
     anonymized_identity,
     client_ip_identity,
     register,
-    run_scenario,
 )
 
 from .cacti import CactiOrigin, CactiTee, request_via_cacti
@@ -25,8 +24,6 @@ from .phoenix import PhoenixClient, PhoenixPop
 
 __all__ = [
     "TeeRun",
-    "run_cacti",
-    "run_phoenix",
     "EXPECTED_TABLE_CACTI",
     "EXPECTED_TABLE_PHOENIX",
 ]
@@ -157,7 +154,6 @@ register(
         ),
         expected=EXPECTED_TABLE_CACTI,
         entities=("Client", "Origin"),
-        table_constant="EXPECTED_TABLE_CACTI",
         experiment_id="E1a",
         order=110.0,
     )
@@ -174,18 +170,7 @@ register(
         ),
         expected=EXPECTED_TABLE_PHOENIX,
         entities=("Client", "CDN Operator", "CDN Enclave"),
-        table_constant="EXPECTED_TABLE_PHOENIX",
         experiment_id="E1b",
         order=111.0,
     )
 )
-
-
-def run_cacti(requests: int = 3, rate_limit: int = 5, seed: int = 20221114) -> TeeRun:
-    """Gated requests with client-side attested rate proofs."""
-    return run_scenario("cacti", requests=requests, rate_limit=rate_limit, seed=seed)
-
-
-def run_phoenix(requests: int = 4, seed: int = 20221114) -> TeeRun:
-    """Keyless-CDN fetches through an attested enclave."""
-    return run_scenario("phoenix", requests=requests, seed=seed)

@@ -1,6 +1,6 @@
 """Cautionary tales: centralized VPNs and ECH (paper section 3.3)."""
 
-from .scenario import EchRun, PAPER_TABLE_T8, VpnRun, run_ech, run_vpn
+from .scenario import EchRun, PAPER_TABLE_T8, VpnRun
 from .vpn import VPN_PROTOCOL, VpnClient, VpnServer
 
 __all__ = [
@@ -9,7 +9,5 @@ __all__ = [
     "VPN_PROTOCOL",
     "VpnRun",
     "EchRun",
-    "run_vpn",
-    "run_ech",
     "PAPER_TABLE_T8",
 ]

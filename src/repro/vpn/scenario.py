@@ -17,7 +17,6 @@ from repro.scenario import (
     add_origin,
     client_ip_identity,
     register,
-    run_scenario,
 )
 from repro.tls.handshake import TlsClientSession, TlsServer
 
@@ -26,8 +25,6 @@ from .vpn import VpnClient, VpnServer
 __all__ = [
     "VpnRun",
     "EchRun",
-    "run_vpn",
-    "run_ech",
     "PAPER_TABLE_T8",
 ]
 
@@ -84,16 +81,10 @@ register(
         ),
         expected=PAPER_TABLE_T8,
         entities=("Client", "VPN Server", "Origin"),
-        table_constant="PAPER_TABLE_T8",
         experiment_id="T8",
         order=90.0,
     )
 )
-
-
-def run_vpn(requests: int = 3) -> VpnRun:
-    """All traffic through one trusted provider: the anti-pattern."""
-    return run_scenario("vpn", requests=requests)
 
 
 @dataclass
@@ -165,8 +156,3 @@ register(
         order=91.0,
     )
 )
-
-
-def run_ech(use_ech: bool, requests: int = 2) -> EchRun:
-    """TLS with/without ECH under a passive network observer."""
-    return run_scenario("ech", use_ech=use_ech, requests=requests)

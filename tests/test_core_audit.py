@@ -3,35 +3,32 @@
 import pytest
 
 from repro.core import audit
-from repro.blindsig import run_digital_cash
-from repro.mpr import run_mpr
-from repro.tee import run_phoenix
-from repro.vpn import run_vpn
+from repro.scenario import run_scenario
 
 
 class TestGrades:
     def test_strong_grade_for_blind_signatures(self):
-        run = run_digital_cash(coins=1)
+        run = run_scenario("digital-cash", coins=1)
         report = audit(run.world, "digital cash")
         assert report.grade == "strong"
         assert report.verdict.decoupled
         assert report.coalitions == ()
 
     def test_decoupled_grade_for_mpr(self):
-        run = run_mpr(relays=2, requests=1)
+        run = run_scenario("mpr", relays=2, requests=1)
         report = audit(run.world, "multi-party relay")
         assert report.grade == "decoupled"
         assert report.coalitions
 
     def test_coupled_grade_for_vpn(self):
-        run = run_vpn(requests=1)
+        run = run_scenario("vpn", requests=1)
         report = audit(run.world, "vpn")
         assert report.grade == "coupled"
 
 
 class TestRendering:
     def test_text_render_contains_every_section(self):
-        run = run_mpr(relays=2, requests=1)
+        run = run_scenario("mpr", relays=2, requests=1)
         report = audit(
             run.world, "mpr", entities=["User", "Relay 1", "Relay 2", "Origin"]
         )
@@ -44,7 +41,7 @@ class TestRendering:
         assert "What User learned" in text
 
     def test_markdown_render(self):
-        run = run_vpn(requests=1)
+        run = run_scenario("vpn", requests=1)
         report = audit(run.world, "vpn")
         markdown = report.to_markdown()
         assert markdown.startswith("## Decoupling audit: vpn")
@@ -52,13 +49,13 @@ class TestRendering:
         assert "exposes users" in markdown
 
     def test_narration_can_be_disabled(self):
-        run = run_vpn(requests=1)
+        run = run_scenario("vpn", requests=1)
         report = audit(run.world, "vpn", narrate=False)
         assert report.narrations == ()
         assert "learned" not in report.render()
 
     def test_tee_trust_note_appears(self):
-        run = run_phoenix(requests=1)
+        run = run_scenario("phoenix", requests=1)
         report = audit(
             run.world, "phoenix",
             entities=["Client", "CDN Operator", "CDN Enclave"],

@@ -14,6 +14,7 @@ from repro.core.metrics import (
     normalized_entropy,
     uniformity_l1_distance,
 )
+from repro.scenario import run_scenario
 
 
 class TestEntropy:
@@ -92,9 +93,7 @@ class TestAnonymitySet:
         assert anonymity_bits(["only"]) == 0.0
 
     def test_mixnet_run_uses_core_helpers(self):
-        from repro.mixnet import run_mixnet
-
-        run = run_mixnet(mixes=2, senders=4)
+        run = run_scenario("mixnet", mixes=2, senders=4)
         assert run.anonymity_set_size() == min(
             4, run.mixes[0].batch_size
         )

@@ -24,6 +24,7 @@ from repro.core.serialize import (
     observation_to_dict,
 )
 from repro.core.values import LabeledValue, ShareInfo, Subject
+from repro.scenario import run_scenario
 
 ALICE = Subject("alice")
 
@@ -111,11 +112,11 @@ class TestObservationRoundtrip:
 
 class TestAuditReportSerialization:
     def test_audit_report_to_dict_carries_grade(self):
-        from repro.blindsig import run_digital_cash
         from repro.core.audit import audit
         from repro.core.serialize import audit_report_to_dict
 
-        report = audit(run_digital_cash(coins=1).world, title="digital cash")
+        run = run_scenario("digital-cash", coins=1)
+        report = audit(run.world, title="digital cash")
         data = audit_report_to_dict(report)
         assert data["title"] == "digital cash"
         assert data["grade"] == report.grade
@@ -128,9 +129,8 @@ class TestAuditReportSerialization:
     def test_coupled_run_grades_coupled_with_violations(self):
         from repro.core.audit import audit
         from repro.core.serialize import audit_report_to_dict
-        from repro.vpn import run_vpn
 
-        data = audit_report_to_dict(audit(run_vpn().world, title="vpn"))
+        data = audit_report_to_dict(audit(run_scenario("vpn").world, title="vpn"))
         assert data["grade"] == "coupled"
         assert data["decoupled"] is False
         assert data["violations"], "coupled run must name its violations"
@@ -141,10 +141,9 @@ class TestAuditReportSerialization:
 class TestAnalyzerOnRestoredLedger:
     def test_verdict_survives_serialization(self):
         """A run's ledger, serialized and restored, yields the same verdict."""
-        from repro.blindsig import run_digital_cash
         from repro.core.analysis import DecouplingAnalyzer
 
-        run = run_digital_cash(coins=1)
+        run = run_scenario("digital-cash", coins=1)
         original = run.analyzer.verdict().decoupled
         restored_ledger = ledger_from_jsonl(ledger_to_jsonl(run.world.ledger))
         run.world.ledger.clear()

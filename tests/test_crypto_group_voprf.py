@@ -12,6 +12,7 @@ from repro.crypto.group import (
     SchnorrGroup,
     default_group,
 )
+from repro.crypto.hashutil import sha256
 from repro.crypto.numtheory import is_probable_prime
 from repro.crypto.voprf import (
     DleqProof,
@@ -120,6 +121,25 @@ class TestVoprf:
         evaluated, proof = rogue.evaluate(state.blinded_element)
         with pytest.raises(ValueError):
             voprf_finalize(state, evaluated, proof, honest.public_key)
+
+    def test_skipping_the_dleq_check_lets_keys_segregate_users(self):
+        """Ablation: a client that unblinds without verifying the proof
+        lets a two-keyed issuer recover each user's group at redemption."""
+        issuer_keys = [VoprfServer(rng=random.Random(seed)) for seed in (1, 2)]
+        for user_index in range(4):
+            server = issuer_keys[user_index % 2]  # segregate by key
+            token_input = f"user-{user_index}-token".encode()
+            state = voprf_blind(token_input, rng=random.Random(user_index))
+            evaluated, _ = server.evaluate(state.blinded_element)
+            g = server.group
+            unblinded = g.exp(evaluated, g.scalar_inv(state.blind))
+            token = sha256(b"VOPRF-finalize", token_input, g.encode_element(unblinded))
+            # The key whose evaluation validates reveals the user's group.
+            recovered = None
+            for key_index, candidate in enumerate(issuer_keys):
+                if candidate.evaluate_unblinded(token_input) == token:
+                    recovered = key_index
+            assert recovered == user_index % 2
 
     def test_rejects_non_group_blinded_element(self):
         server = VoprfServer(rng=random.Random(13))

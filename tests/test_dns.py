@@ -165,6 +165,15 @@ class TestStriping:
             shares[count] = stub.max_resolver_share()
         assert shares[1] > shares[2] > shares[4]
 
+    def test_hash_policy_spreads_names_over_the_striping_world(self):
+        """Sticky hashing still spreads *names*, but any one name's
+        queries all land on one resolver."""
+        from repro.harness import STRIPING_NAMES, striping_stub
+
+        stub = striping_stub(4, HashPolicy())
+        assert stub.max_name_coverage(len(STRIPING_NAMES)) < 1.0
+        assert sum(stub.queries_by_resolver.values()) == len(STRIPING_NAMES)
+
     def test_requires_at_least_one_resolver(self):
         with pytest.raises(ValueError):
             StripingStub(None, [])

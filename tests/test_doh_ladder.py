@@ -8,12 +8,12 @@ argument that motivates the paper's section 3.2.2.
 import pytest
 
 from repro.core.labels import SENSITIVE_DATA
-from repro.odns import run_doh, run_odoh, run_plain_dns
+from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def doh_run():
-    return run_doh()
+    return run_scenario("doh")
 
 
 class TestDohRun:
@@ -40,9 +40,9 @@ class TestDohRun:
 
 class TestLadder:
     def test_each_rung_strictly_improves_some_party(self):
-        plain = run_plain_dns()
-        doh = run_doh()
-        odoh = run_odoh()
+        plain = run_scenario("plain-dns")
+        doh = run_scenario("doh")
+        odoh = run_scenario("odoh")
 
         # Rung 1 -> 2: the resolver's knowledge is unchanged...
         assert plain.table().as_mapping()["Resolver"] == "(▲, ⊙/●)"
@@ -58,8 +58,8 @@ class TestLadder:
     def test_single_org_breach_comparison(self):
         """Breach exposure across the ladder: plain/DoH resolvers leak
         the coupled profile; ODoH parties are individually clean."""
-        doh = run_doh()
+        doh = run_scenario("doh")
         assert not doh.analyzer.breach("resolver-org").breach_proof
-        odoh = run_odoh()
+        odoh = run_scenario("odoh")
         assert odoh.analyzer.breach("proxy-org").breach_proof
         assert odoh.analyzer.breach("target-org").breach_proof

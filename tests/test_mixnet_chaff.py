@@ -5,13 +5,15 @@ import statistics
 import pytest
 
 from repro.adversary import PassiveCorrelator, correlation_accuracy
-from repro.mixnet import make_chaff, run_mixnet
+from repro.mixnet import make_chaff
+from repro.scenario import run_scenario
 
 
 def _fifo_accuracy(chaff: int, seeds=range(8)) -> float:
     values = []
     for seed in seeds:
-        run = run_mixnet(
+        run = run_scenario(
+            "mixnet",
             mixes=2,
             senders=4,
             batch_size=2,
@@ -29,20 +31,28 @@ def _fifo_accuracy(chaff: int, seeds=range(8)) -> float:
 
 class TestChaffMechanics:
     def test_chaff_is_discarded_by_the_receiver(self):
-        run = run_mixnet(mixes=2, senders=4, batch_size=4, chaff_per_flush=3)
+        run = run_scenario(
+            "mixnet", mixes=2, senders=4, batch_size=4, chaff_per_flush=3
+        )
         assert len(run.receiver.received) == 4  # real messages only
         assert run.receiver.chaff_dropped == 3
         assert run.mixes[-1].chaff_sent == 3
 
     def test_only_the_egress_mix_injects(self):
-        run = run_mixnet(mixes=3, senders=4, batch_size=4, chaff_per_flush=2)
+        run = run_scenario(
+            "mixnet", mixes=3, senders=4, batch_size=4, chaff_per_flush=2
+        )
         assert run.mixes[0].chaff_sent == 0
         assert run.mixes[1].chaff_sent == 0
         assert run.mixes[2].chaff_sent == 2
 
     def test_chaff_inflates_the_egress_edge(self):
-        plain = run_mixnet(mixes=2, senders=4, batch_size=4, chaff_per_flush=0)
-        chaffed = run_mixnet(mixes=2, senders=4, batch_size=4, chaff_per_flush=4)
+        plain = run_scenario(
+            "mixnet", mixes=2, senders=4, batch_size=4, chaff_per_flush=0
+        )
+        chaffed = run_scenario(
+            "mixnet", mixes=2, senders=4, batch_size=4, chaff_per_flush=4
+        )
         plain_egress = len(plain.network.trace.between(dst=plain.receiver.address))
         chaffed_egress = len(
             chaffed.network.trace.between(dst=chaffed.receiver.address)

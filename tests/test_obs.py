@@ -14,6 +14,7 @@ from repro.obs import export as obs_export
 from repro.obs import runtime
 from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
 from repro.obs.tracing import NOOP_SPAN, Tracer, get_tracer
+from repro.scenario import run_scenario
 
 ALICE = Subject("alice")
 
@@ -228,10 +229,8 @@ class TestNetworkInstrumentation:
         assert registry.counter_value("sim.events") == 2
 
     def test_mixnet_deliveries_all_nest_under_transact(self):
-        from repro.mixnet import run_mixnet
-
         with obs.capture() as (tracer, _):
-            run = run_mixnet(mixes=2, senders=3)
+            run = run_scenario("mixnet", mixes=2, senders=3)
         by_id = {s.span_id: s for s in tracer.spans}
         delivers = tracer.by_name("deliver")
         assert delivers, "mixnet run produced no delivery spans"
@@ -402,13 +401,12 @@ class TestDeterminism:
         Packet/request/span ids are per-instance counters, so nothing
         leaks between runs.
         """
-        from repro.mixnet import run_mixnet
         from repro.obs.provenance import build_provenance
 
         exports = []
         for _ in range(2):
             with obs.capture() as (tracer, registry):
-                run = run_mixnet(mixes=2, senders=3)
+                run = run_scenario("mixnet", mixes=2, senders=3)
             graph = build_provenance(run, tracer)
             exports.append(obs_export.to_jsonl(tracer, registry, graph))
         assert _strip_wall_clock(exports[0]) == _strip_wall_clock(exports[1])

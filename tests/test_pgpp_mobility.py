@@ -11,10 +11,10 @@ from repro.pgpp import (
     extract_epoch_tracks,
     make_mobility,
     random_walk,
-    run_pgpp,
     stationary,
     tracking_accuracy,
 )
+from repro.scenario import run_scenario
 
 
 class TestModels:
@@ -50,7 +50,8 @@ class TestTrackingByMobility:
     def _accuracy(self, mobility: str) -> float:
         values = []
         for seed in range(5):
-            run = run_pgpp(
+            run = run_scenario(
+                "pgpp",
                 users=8, cells=8, steps=4, epochs=3, seed=seed, mobility=mobility
             )
             chains = TrajectoryLinker().link(
@@ -81,5 +82,5 @@ class TestTrackingByMobility:
         from repro.pgpp import PAPER_TABLE_T5
 
         for mobility in ("walk", "commuter", "stationary"):
-            run = run_pgpp(users=3, epochs=2, mobility=mobility)
+            run = run_scenario("pgpp", users=3, epochs=2, mobility=mobility)
             assert run.table().as_mapping() == PAPER_TABLE_T5

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.pgpp import (
-    TrajectoryLinker,
-    extract_epoch_tracks,
-    run_pgpp,
-    tracking_accuracy,
-)
+from repro.pgpp import TrajectoryLinker, extract_epoch_tracks, tracking_accuracy
 from repro.pgpp.tracking import EpochTrack, _epoch_of
+from repro.scenario import run_scenario
 
 
 class TestEpochParsing:
@@ -80,10 +76,18 @@ class TestAccuracy:
 
 class TestEndToEnd:
     def test_imsi_truth_matches_history_shape(self):
-        run = run_pgpp(users=3, epochs=3)
+        run = run_scenario("pgpp", users=3, epochs=3)
         truth = run.imsi_truth()
         assert len(truth) == 3
         assert all(len(chain) == 3 for chain in truth.values())
+
+    def test_one_epoch_keeps_every_walk_in_one_track(self):
+        """Without rotation there are no cross-epoch links to get wrong:
+        the core already holds complete per-pseudonym trajectories."""
+        run = run_scenario("pgpp", users=4, cells=6, steps=4, epochs=1)
+        tracks = extract_epoch_tracks(run.core.mobility_log)
+        assert len(tracks) == 4
+        assert all(len(track.cells) == 4 for track in tracks)
 
     def test_small_population_is_trackable_large_is_not(self):
         import statistics
@@ -91,7 +95,9 @@ class TestEndToEnd:
         def mean_accuracy(users):
             values = []
             for seed in range(4):
-                run = run_pgpp(users=users, cells=6, steps=4, epochs=3, seed=seed)
+                run = run_scenario(
+                    "pgpp", users=users, cells=6, steps=4, epochs=3, seed=seed
+                )
                 chains = TrajectoryLinker().link(
                     extract_epoch_tracks(run.core.mobility_log)
                 )

@@ -10,7 +10,8 @@ from repro.crypto.secretshare import (
     make_histogram_proof,
     reconstruct_additive,
 )
-from repro.ppm import PAPER_TABLE_T7, run_prio_histogram
+from repro.ppm import PAPER_TABLE_T7
+from repro.scenario import run_scenario
 
 
 class TestHistogramProofs:
@@ -63,7 +64,7 @@ class TestHistogramProofs:
 class TestHistogramProtocol:
     @pytest.fixture(scope="class")
     def run(self):
-        return run_prio_histogram(clients=6, aggregators=2, buckets=4)
+        return run_scenario("prio-histogram", clients=6, aggregators=2, buckets=4)
 
     def test_histogram_is_exact(self, run):
         assert run.reported_histogram == run.true_histogram
@@ -81,6 +82,6 @@ class TestHistogramProtocol:
         assert coalition == frozenset({"aggregator-org-1", "aggregator-org-2"})
 
     def test_three_aggregators(self):
-        run = run_prio_histogram(clients=5, aggregators=3, buckets=3)
+        run = run_scenario("prio-histogram", clients=5, aggregators=3, buckets=3)
         assert run.reported_histogram == run.true_histogram
         assert run.analyzer.collusion_resistance() == 3

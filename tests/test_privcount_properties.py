@@ -31,10 +31,10 @@ from repro.privcount import (
     STATISTICS,
     epsilon_allocation,
     laplace_scale,
-    run_privcount,
     sample_laplace,
     statistics_for,
 )
+from repro.scenario import run_scenario
 
 counts = st.integers(min_value=0, max_value=COUNTER_MODULUS - 1)
 party_counts = st.integers(min_value=2, max_value=8)
@@ -130,7 +130,7 @@ class TestNoiseCalibration:
     def test_run_reports_declared_scales(self):
         """The scenario's published noise scales are exactly the
         per-statistic sensitivity over the per-statistic epsilon."""
-        run = run_privcount()
+        run = run_scenario("privcount")
         statistics = statistics_for(len(run.noise_scales))
         allocation = epsilon_allocation(statistics, DEFAULT_EPSILON)
         for statistic in statistics:
@@ -169,7 +169,7 @@ class TestEndToEndExactness:
     exact equals the ground-truth event counts."""
 
     def test_exact_totals_match_ground_truth(self):
-        run = run_privcount()
+        run = run_scenario("privcount")
         assert run.reconstructed
         assert run.exact_totals == run.true_totals
         for name, published in run.published.items():
@@ -178,8 +178,6 @@ class TestEndToEndExactness:
             assert isinstance(published, int)
 
     def test_sharded_exactness(self):
-        from repro.privcount import run_privcount_sharded
-
-        run = run_privcount_sharded()
+        run = run_scenario("privcount-sharded")
         assert run.reconstructed
         assert run.exact_totals == run.true_totals

@@ -15,7 +15,7 @@ from repro.core.values import LabeledValue, Subject
 from repro.dns.zones import AuthoritativeServer, Zone, ZoneRegistry
 from repro.net.network import Network
 from repro.odns.odoh import ObliviousProxy, ObliviousTarget, OdohClient
-from repro.ppm import run_prio
+from repro.scenario import run_scenario
 
 
 class TestOdohAtScale:
@@ -63,7 +63,7 @@ class TestOdohAtScale:
 
     def test_verdict_time_scales_with_ledger(self):
         """The per-subject linkage analysis stays near-linear."""
-        run = run_prio(clients=20, aggregators=2)
+        run = run_scenario("prio", clients=20, aggregators=2)
         started = time.monotonic()
         verdict = run.analyzer.verdict()
         elapsed = time.monotonic() - started
@@ -73,7 +73,7 @@ class TestOdohAtScale:
 
 class TestPrioAtScale:
     def test_forty_clients_three_aggregators(self):
-        run = run_prio(clients=40, aggregators=3)
+        run = run_scenario("prio", clients=40, aggregators=3)
         assert run.reported_total == run.true_total
         assert run.analyzer.verdict().decoupled
         (coalition,) = run.analyzer.minimal_recoupling_coalitions()

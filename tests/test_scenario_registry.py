@@ -3,11 +3,11 @@
 Two invariants guard the declarative runtime against drift:
 
 * **Completeness** -- every paper-table constant defined anywhere in
-  ``repro.*.scenario`` is claimed by exactly one registered spec, the
-  spec's ``expected_table()`` reproduces the constant verbatim, and the
-  spec's entity display order matches the table's keys.  Adding a new
-  paper table without registering its scenario (or vice versa) fails
-  here.
+  ``repro.*.scenario`` is some registered spec's ``expected_table()``,
+  every spec's table is exactly one such constant (T2's is built by
+  ``paper_table_t2``), and the spec's entity display order matches the
+  table's keys.  Adding a new paper table without registering its
+  scenario (or vice versa) fails here.
 
 * **Golden parity** -- the registry-driven ``tables`` and ``report
   --json`` CLI paths must emit byte-identical output to the pinned
@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.mixnet import paper_table_t2
 from repro.scenario import (
     Param,
     ScenarioError,
@@ -40,15 +41,17 @@ from repro.scenario import (
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Module-level names that declare a paper knowledge table.
-_CONSTANT_PATTERN = re.compile(r"^(PAPER_TABLE_|BASELINE_TABLE_|EXPECTED_TABLE)")
+_CONSTANT_PATTERN = re.compile(
+    r"^(PAPER_TABLE_|BASELINE_TABLE_|EXPECTED_TABLE|PRIVCOUNT_TABLE$)"
+)
 
 
 def _paper_table_constants():
     """Every paper-table constant in ``repro.*.scenario``, flattened.
 
-    Returns ``{reference: table}`` where ``reference`` is the string a
-    spec's ``table_constant`` field uses: the bare constant name, or
-    ``NAME['mode']`` for dict-of-dict constants like the SSO family.
+    Returns ``{reference: table}`` where ``reference`` is the bare
+    constant name, or ``NAME['mode']`` for dict-of-dict constants like
+    the SSO family.
     """
     constants = {}
     for info in pkgutil.iter_modules(repro.__path__):
@@ -73,32 +76,26 @@ def _paper_table_constants():
 
 
 class TestCompleteness:
-    def test_every_constant_has_exactly_one_spec(self):
+    def test_every_constant_is_some_specs_table(self):
         constants = _paper_table_constants()
         assert constants, "no paper-table constants found"
+        tables = [spec.expected_table() for spec in all_specs()]
         for reference, table in constants.items():
-            claimants = [
-                spec for spec in all_specs() if spec.table_constant == reference
-            ]
-            assert len(claimants) == 1, (
-                f"{reference} should be claimed by exactly one spec,"
-                f" got {[spec.id for spec in claimants]}"
-            )
-            assert claimants[0].expected_table() == table, (
-                f"spec {claimants[0].id!r} does not reproduce {reference}"
-            )
+            assert table in tables, f"no spec reproduces {reference}"
 
-    def test_every_paper_row_names_its_constant(self):
-        # T2's table generalizes with the mix count, so it is a callable
-        # reference rather than a module constant; everything else in
-        # the report points at a real constant.
+    def test_every_spec_table_is_exactly_one_constant(self):
+        # T2's table generalizes with the mix count, so it is built by
+        # paper_table_t2(mixes) rather than held in a module constant.
         constants = _paper_table_constants()
-        for spec in experiment_specs():
-            assert spec.table_constant, f"{spec.id} has no table_constant"
+        for spec in all_specs():
+            table = spec.expected_table()
+            if table is None:
+                continue
             if spec.id == "mixnet":
-                assert spec.table_constant == "paper_table_t2(mixes)"
-            else:
-                assert spec.table_constant in constants
+                assert table == paper_table_t2(spec.defaults()["mixes"])
+                continue
+            matches = [name for name, value in constants.items() if value == table]
+            assert len(matches) == 1, f"spec {spec.id!r} matches {matches}"
 
     def test_entity_order_matches_table_keys(self):
         for spec in all_specs():

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.blindsig import PAPER_TABLE_T1, run_digital_cash
+from repro.blindsig import PAPER_TABLE_T1
+from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def run():
-    return run_digital_cash(coins=3)
+    return run_scenario("digital-cash", coins=3)
 
 
 class TestPaperTable:
@@ -34,7 +35,7 @@ class TestCryptographicProperties:
             assert report.breach_proof, report.organization
 
     def test_double_spend_is_rejected(self):
-        run = run_digital_cash(coins=1)
+        run = run_scenario("digital-cash", coins=1)
         coin = run.buyer.coins[0]
         receipt = run.buyer.pay(run.seller, coin, "second attempt")
         assert not receipt.accepted
@@ -55,6 +56,19 @@ class TestCryptographicProperties:
 
 class TestScaling:
     def test_more_coins_preserve_the_table(self):
-        run = run_digital_cash(coins=6)
+        run = run_scenario("digital-cash", coins=6)
         assert run.table().as_mapping() == PAPER_TABLE_T1
         assert run.analyzer.verdict().decoupled
+
+
+class TestBlindingAblation:
+    def test_without_blinding_the_bank_recouples(self, run):
+        """Same cash protocol, no blinding: the bank becomes a coalition."""
+        ablated = run_scenario("digital-cash", coins=3, blind_withdrawals=False)
+        # The serial seen at withdrawal reappears at deposit, so the
+        # (single-organization!) bank re-couples.
+        assert frozenset({"bank"}) in ablated.analyzer.minimal_recoupling_coalitions()
+        assert not ablated.analyzer.breach("bank").breach_proof
+        # The per-entity table is unchanged -- the leak is institutional,
+        # which is exactly why the paper's analysis needs coalitions.
+        assert ablated.table().as_mapping() == run.table().as_mapping()

@@ -3,14 +3,15 @@
 import pytest
 
 from repro.core.labels import SENSITIVE_DATA
+from repro.core.report import flow_series
 from repro.faults import FaultPlan
-from repro.mixnet import paper_table_t2, run_mixnet
+from repro.mixnet import paper_table_t2
 from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def run():
-    return run_mixnet(mixes=3, senders=4)
+    return run_scenario("mixnet", mixes=3, senders=4)
 
 
 class TestPaperTable:
@@ -22,7 +23,7 @@ class TestPaperTable:
 
     def test_table_shape_generalizes_with_hops(self):
         for mixes in (1, 2, 5):
-            r = run_mixnet(mixes=mixes, senders=3)
+            r = run_scenario("mixnet", mixes=mixes, senders=3)
             assert r.table().as_mapping() == paper_table_t2(mixes)
 
 
@@ -38,6 +39,41 @@ class TestDelivery:
         for mix in run.mixes:
             assert mix.messages_mixed == 4
             assert mix.pending == 0
+
+
+class TestFigureOneFlow:
+    """Figure 1: first-knowledge events along the path to the receiver."""
+
+    PATH = ["Mix 1", "Mix 2", "Mix 3", "Receiver"]
+
+    def test_identity_stops_at_mix_1_and_plaintext_waits_for_the_receiver(
+        self, run
+    ):
+        steps = flow_series(run.world.ledger, self.PATH)
+        assert steps, "flow series must not be empty"
+        # Identity (▲) appears at Mix 1 and nowhere downstream.
+        assert {s.entity for s in steps if s.glyph == "▲"} == {"Mix 1"}
+        # Plaintext (●) appears only at the Receiver, and only after every
+        # mix has seen its ciphertext.
+        plaintext_steps = [s for s in steps if s.glyph == "●"]
+        assert {s.entity for s in plaintext_steps} == {"Receiver"}
+        last_mix_time = max(s.time for s in steps if s.entity == "Mix 3")
+        assert all(p.time >= last_mix_time for p in plaintext_steps)
+        # Every mix observed opaque material (⊙) -- the figure's envelopes.
+        opaque_entities = {s.entity for s in steps if s.glyph == "⊙"}
+        assert {"Mix 1", "Mix 2", "Mix 3"} <= opaque_entities
+
+    def test_hop_order_follows_the_figure(self):
+        run = run_scenario("mixnet", mixes=3, senders=3)
+        first_seen = {}
+        for step in flow_series(run.world.ledger, self.PATH):
+            first_seen.setdefault(step.entity, step.time)
+        assert (
+            first_seen["Mix 1"]
+            < first_seen["Mix 2"]
+            < first_seen["Mix 3"]
+            < first_seen["Receiver"]
+        )
 
 
 class TestSettleDrains:
@@ -96,7 +132,7 @@ class TestCollusion:
 
     def test_collusion_resistance_grows_with_hops(self):
         resistances = [
-            run_mixnet(mixes=m, senders=3).analyzer.collusion_resistance()
+            run_scenario("mixnet", mixes=m, senders=3).analyzer.collusion_resistance()
             for m in (1, 2, 3)
         ]
         assert resistances == [2, 3, 4]
@@ -110,13 +146,14 @@ class TestCollusion:
 class TestTiming:
     def test_latency_grows_with_hops(self):
         latencies = [
-            run_mixnet(mixes=m, senders=3).end_to_end_latency() for m in (1, 3, 5)
+            run_scenario("mixnet", mixes=m, senders=3).end_to_end_latency()
+            for m in (1, 3, 5)
         ]
         assert latencies[0] < latencies[1] < latencies[2]
 
     def test_batching_delays_delivery(self):
-        quick = run_mixnet(mixes=2, senders=8, batch_size=1)
-        batched = run_mixnet(mixes=2, senders=8, batch_size=8)
+        quick = run_scenario("mixnet", mixes=2, senders=8, batch_size=1)
+        batched = run_scenario("mixnet", mixes=2, senders=8, batch_size=8)
         assert quick.end_to_end_latency() < batched.end_to_end_latency()
 
     def test_ground_truth_covers_every_message(self, run):
@@ -125,7 +162,7 @@ class TestTiming:
 
 class TestPadding:
     def test_padded_messages_have_uniform_receiver_sizes(self):
-        run = run_mixnet(mixes=2, senders=4, use_padding=True)
+        run = run_scenario("mixnet", mixes=2, senders=4, use_padding=True)
         sizes = {
             r.size
             for r in run.network.trace
@@ -134,7 +171,7 @@ class TestPadding:
         assert len(sizes) == 1
 
     def test_unpadded_messages_leak_size_variation(self):
-        run = run_mixnet(mixes=2, senders=4, use_padding=False)
+        run = run_scenario("mixnet", mixes=2, senders=4, use_padding=False)
         sizes = {
             r.size
             for r in run.network.trace

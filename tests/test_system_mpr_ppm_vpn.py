@@ -3,24 +3,20 @@
 import pytest
 
 from repro.core.labels import SENSITIVE_DATA
-from repro.mpr import PAPER_TABLE_T6, paper_table_t6, run_mpr
-from repro.ppm import (
-    PAPER_TABLE_T7,
-    run_naive_aggregation,
-    run_ohttp_aggregation,
-    run_prio,
-)
-from repro.vpn import PAPER_TABLE_T8, run_ech, run_vpn
+from repro.mpr import PAPER_TABLE_T6, paper_table_t6
+from repro.ppm import PAPER_TABLE_T7
+from repro.scenario import run_scenario
+from repro.vpn import PAPER_TABLE_T8
 
 
 @pytest.fixture(scope="module")
 def mpr_run():
-    return run_mpr(relays=2, requests=3)
+    return run_scenario("mpr", relays=2, requests=3)
 
 
 @pytest.fixture(scope="module")
 def prio_run():
-    return run_prio(clients=5, aggregators=2)
+    return run_scenario("prio", clients=5, aggregators=2)
 
 
 class TestMpr:
@@ -32,11 +28,11 @@ class TestMpr:
 
     def test_generalized_tables(self):
         for relays in (2, 3, 4):
-            run = run_mpr(relays=relays, requests=1)
+            run = run_scenario("mpr", relays=relays, requests=1)
             assert run.table().as_mapping() == paper_table_t6(relays)
 
     def test_single_relay_is_the_vpn_anti_pattern(self):
-        run = run_mpr(relays=1, requests=1)
+        run = run_scenario("mpr", relays=1, requests=1)
         assert not run.analyzer.verdict().decoupled
 
     def test_minimal_coalition_is_both_relays(self, mpr_run):
@@ -44,11 +40,12 @@ class TestMpr:
         assert coalition == frozenset({"relay-org-1", "relay-org-2"})
 
     def test_collusion_resistance_scales_with_relays(self):
-        assert run_mpr(relays=3, requests=1).analyzer.collusion_resistance() == 3
+        run = run_scenario("mpr", relays=3, requests=1)
+        assert run.analyzer.collusion_resistance() == 3
 
     def test_latency_grows_with_relays(self):
-        fast = run_mpr(relays=2, requests=2).mean_latency
-        slow = run_mpr(relays=5, requests=2).mean_latency
+        fast = run_scenario("mpr", relays=2, requests=2).mean_latency
+        slow = run_scenario("mpr", relays=5, requests=2).mean_latency
         assert fast < slow
 
     def test_relay1_never_sees_fqdn_or_content(self, mpr_run):
@@ -56,21 +53,21 @@ class TestMpr:
             assert obs.description not in ("target fqdn", "http request")
 
     def test_geo_hint_reaches_origin(self):
-        run = run_mpr(relays=2, requests=1, geo_hint="US-CA")
+        run = run_scenario("mpr", relays=2, requests=1, geo_hint="US-CA")
         assert run.origin_knows_location()
-        baseline = run_mpr(relays=2, requests=1)
+        baseline = run_scenario("mpr", relays=2, requests=1)
         assert not baseline.origin_knows_location()
 
 
 class TestPpm:
     def test_naive_single_server_couples(self):
-        run = run_naive_aggregation()
+        run = run_scenario("ppm-naive")
         assert not run.analyzer.verdict().decoupled
         assert run.collector_sees_individual_values()
         assert run.reported_total == run.true_total
 
     def test_ohttp_decouples_identity_but_not_values(self):
-        run = run_ohttp_aggregation()
+        run = run_scenario("ppm-ohttp")
         assert run.analyzer.verdict().decoupled
         assert run.collector_sees_individual_values()
         assert run.reported_total == run.true_total
@@ -90,7 +87,14 @@ class TestPpm:
         assert coalition == frozenset({"aggregator-org-1", "aggregator-org-2"})
 
     def test_more_aggregators_raise_collusion_resistance(self):
-        assert run_prio(aggregators=3).analyzer.collusion_resistance() == 3
+        assert run_scenario("prio", aggregators=3).analyzer.collusion_resistance() == 3
+
+    def test_total_is_the_same_at_every_aggregator_count(self):
+        totals = [
+            run_scenario("prio", clients=4, aggregators=count).reported_total
+            for count in (2, 3, 4, 5)
+        ]
+        assert len(set(totals)) == 1
 
     def test_invalid_report_is_excluded(self):
         """A cheating client submitting x=5 fails the Beaver check."""
@@ -98,7 +102,7 @@ class TestPpm:
         from repro.crypto.secretshare import make_boolean_proof
         import random
 
-        run = run_prio(clients=3, aggregators=2)
+        run = run_scenario("prio", clients=3, aggregators=2)
         # verify through the protocol-level primitive: a non-boolean
         # submission cannot pass the validity check the aggregators ran
         proofs = make_boolean_proof(5, 2, rng=random.Random(1))
@@ -109,11 +113,11 @@ class TestPpm:
 
 class TestVpnAndEch:
     def test_vpn_table_matches_the_paper(self):
-        run = run_vpn()
+        run = run_scenario("vpn")
         assert run.table().as_mapping() == PAPER_TABLE_T8
 
     def test_vpn_is_not_decoupled(self):
-        run = run_vpn()
+        run = run_scenario("vpn")
         verdict = run.analyzer.verdict()
         assert not verdict.decoupled
         assert any(v.entity == "VPN Server" for v in verdict.violations)
@@ -121,15 +125,21 @@ class TestVpnAndEch:
         assert coalition == frozenset({"vpn-provider"})
 
     def test_ech_hides_sni_from_the_network(self):
-        without = run_ech(use_ech=False)
-        with_ech = run_ech(use_ech=True)
+        without = run_scenario("ech", use_ech=False)
+        with_ech = run_scenario("ech", use_ech=True)
         assert without.observer_saw_sni()
         assert not with_ech.observer_saw_sni()
 
     def test_ech_does_not_change_what_the_server_sees(self):
-        without = run_ech(use_ech=False)
-        with_ech = run_ech(use_ech=True)
+        without = run_scenario("ech", use_ech=False)
+        with_ech = run_scenario("ech", use_ech=True)
         server_cell_without = without.table().as_mapping()["TLS Server"]
         server_cell_with = with_ech.table().as_mapping()["TLS Server"]
         assert server_cell_without == server_cell_with == "(▲, ●)"
         assert not with_ech.analyzer.verdict().decoupled
+
+    def test_ech_changes_the_network_observers_cell(self):
+        without = run_scenario("ech", use_ech=False).table().as_mapping()
+        with_ech = run_scenario("ech", use_ech=True).table().as_mapping()
+        assert without["Network Observer"] == "(▲, ⊙/●)"
+        assert with_ech["Network Observer"] == "(▲, ⊙)"

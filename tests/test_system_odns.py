@@ -3,34 +3,29 @@
 import pytest
 
 from repro.core.labels import SENSITIVE_DATA
-from repro.odns import (
-    PAPER_TABLE_T4_ODNS,
-    PAPER_TABLE_T4_ODOH,
-    run_odns,
-    run_odoh,
-    run_plain_dns,
-)
+from repro.odns import PAPER_TABLE_T4_ODNS, PAPER_TABLE_T4_ODOH
+from repro.scenario import run_scenario
 
 
 @pytest.fixture(scope="module")
 def odns_run():
-    return run_odns()
+    return run_scenario("odns")
 
 
 @pytest.fixture(scope="module")
 def odoh_run():
-    return run_odoh()
+    return run_scenario("odoh")
 
 
 class TestPlainDnsBaseline:
     def test_resolver_couples_identity_and_queries(self):
-        run = run_plain_dns()
+        run = run_scenario("plain-dns")
         verdict = run.analyzer.verdict()
         assert not verdict.decoupled
         assert any(v.entity == "Resolver" for v in verdict.violations)
 
     def test_single_org_breach_exposes_the_user(self):
-        run = run_plain_dns()
+        run = run_scenario("plain-dns")
         assert run.analyzer.minimal_recoupling_coalitions()[0] == frozenset(
             {"resolver-org"}
         )

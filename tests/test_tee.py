@@ -6,13 +6,12 @@ import pytest
 
 from repro.core.entities import World
 from repro.crypto.hashutil import sha256
+from repro.scenario import run_scenario
 from repro.tee import (
     AttestationAuthority,
     EXPECTED_TABLE_CACTI,
     EXPECTED_TABLE_PHOENIX,
     TeeEnclave,
-    run_cacti,
-    run_phoenix,
 )
 
 
@@ -65,13 +64,13 @@ class TestAttestation:
 
 class TestCacti:
     def test_table_and_verdict(self):
-        run = run_cacti()
+        run = run_scenario("cacti")
         assert run.table().as_mapping() == EXPECTED_TABLE_CACTI
         assert run.analyzer.verdict().decoupled
         assert run.served == 3
 
     def test_enclave_rate_limit_is_enforced(self):
-        run = run_cacti(requests=8, rate_limit=5)
+        run = run_scenario("cacti", requests=8, rate_limit=5)
         assert run.served == 5
 
     def test_origin_rejects_replayed_proofs(self):
@@ -105,17 +104,17 @@ class TestCacti:
 
 class TestPhoenix:
     def test_table_matches_expectation(self):
-        run = run_phoenix()
+        run = run_scenario("phoenix")
         assert run.table().as_mapping() == EXPECTED_TABLE_PHOENIX
 
     def test_verdict_depends_on_trusting_attestation(self):
         """The paper's point: the TEE *moves* the locus of trust."""
-        run = run_phoenix()
+        run = run_scenario("phoenix")
         assert not run.analyzer.verdict().decoupled
         assert run.analyzer.verdict(trust_attested=True).decoupled
 
     def test_operator_is_breach_proof(self):
-        run = run_phoenix()
+        run = run_scenario("phoenix")
         assert run.analyzer.breach("cdn-operator").breach_proof
 
     def test_cache_works_inside_the_enclave(self):

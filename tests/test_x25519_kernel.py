@@ -144,6 +144,17 @@ def test_signed_digit_edges_match_reference(scalar):
         assert x25519(scalar, u) == reference_x25519(scalar, u)
 
 
+def test_carry_row_holds_its_one_readable_entry():
+    """The digit after the last window is the final carry, 0 or 1."""
+    peer = x25519(bytes([3]) * 32, X25519_BASEPOINT)
+    for _ in range(REUSES):
+        x25519(bytes(range(32)), peer)
+    for u in (X25519_BASEPOINT, peer):
+        table = x25519_module._tables[_key(u)]
+        assert len(table[-1]) == 1
+        assert [len(row) for row in table[:-1]] == [HALF] * -(-255 // WINDOW)
+
+
 @given(SCALARS, BYTES32)
 def test_random_u_matches_reference(scalars, u):
     _reused(u, scalars)
