@@ -151,7 +151,9 @@ class MixReceiver:
         self.host.register(MIX_PROTOCOL, self._handle)
         self.received: List[LabeledValue] = []
         self.enclosures: List[object] = []  # e.g. return addresses
+        #: When, and on which packet, each message in ``received`` arrived.
         self.delivery_times: List[float] = []
+        self.packet_ids: List[int] = []
         self.chaff_dropped = 0
 
     @property
@@ -171,4 +173,5 @@ class MixReceiver:
         self.received.append(message)
         self.enclosures.extend(extras)
         self.delivery_times.append(self.host.network.simulator.now)
+        self.packet_ids.append(packet.packet_id)
         return None

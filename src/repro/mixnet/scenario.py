@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List
 
 from repro.core import metrics
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.labels import SENSITIVE_IDENTITY
-from repro.core.values import LabeledValue, Subject
-from repro.net.network import Network
+from repro.core.values import LabeledValue, Sealed, Subject
+from repro.net.addressing import Address
+from repro.net.network import Network, SimHost
 from repro.scenario import (
     Param,
     ScenarioProgram,
@@ -56,8 +58,8 @@ class MixnetRun(ScenarioRun):
     senders: int = 0
     sender_send_times: Dict[Subject, float] = None  # type: ignore[assignment]
     table_entities: List[str] = field(default_factory=list)
-    #: (outermost onion, innermost core) per message, send order.
-    onion_map: List[tuple] = field(default_factory=list)
+    #: Each sender's first-hop packet id, in send order.
+    ingress_ids: Dict[Subject, int] = field(default_factory=dict)
     #: Per-sender mix indices used (cascade: all identical).
     routes_used: List[List[int]] = field(default_factory=list)
 
@@ -72,22 +74,21 @@ class MixnetRun(ScenarioRun):
     def ground_truth(self) -> Dict[int, int]:
         """Egress packet id -> ingress packet id, for the adversary eval.
 
-        Uses the simulator's omniscient delivery log: the ingress
-        packet carries the outermost onion object, the egress packet
-        carries the core envelope object (same Python object end to
-        end, re-wrapped only logically at each hop).
+        The ingress packet is the one each sender's send put on the
+        wire; the egress packet is the one the receiver got that
+        sender's message on -- the last, when duplication delivered it
+        more than once.  Only messages that reached the receiver
+        appear, in send order.
         """
-        truth: Dict[int, int] = {}
-        for onion, core in self.onion_map:
-            ingress_id = egress_id = None
-            for packet in self.network.delivered:
-                if packet.payload is onion:
-                    ingress_id = packet.packet_id
-                if packet.dst == self.receiver.address and packet.payload is core:
-                    egress_id = packet.packet_id
-            if ingress_id is not None and egress_id is not None:
-                truth[egress_id] = ingress_id
-        return truth
+        receiver = self.receiver
+        egress = dict(
+            zip((message.subject for message in receiver.received), receiver.packet_ids)
+        )
+        return {
+            egress[subject]: ingress_id
+            for subject, ingress_id in self.ingress_ids.items()
+            if subject in egress
+        }
 
     def anonymity_set_size(self) -> int:
         """How many senders each delivered message hides among.
@@ -207,7 +208,7 @@ class MixnetProgram(ScenarioProgram):
         cascade_route = [(node.key_id, node.address) for node in self.mix_nodes[:mixes]]
         route_rng = _random.Random(seed * 7 + 1)
         self.send_times: Dict[Subject, float] = {}
-        self.onions: List[tuple] = []
+        self.ingress_ids: Dict[Subject, int] = {}
         self.routes_used: List[List[int]] = []
         for index, (subject, entity) in enumerate(
             zip(self.subjects, self.sender_entities)
@@ -237,19 +238,17 @@ class MixnetProgram(ScenarioProgram):
             onion = build_onion(
                 route, self.receiver.key_id, self.receiver.address, message
             )
-            core = onion
-            while hasattr(core, "contents") and core.contents and hasattr(
-                core.contents[0], "inner"
-            ):
-                core = core.contents[0].inner
-            self.onions.append((onion, core))
             when = index * 0.001  # staggered injection
             self.send_times[subject] = when
-            first_hop = route[0][1]
             self.network.simulator.at(
-                when,
-                lambda h=host, o=onion, fh=first_hop: h.send(fh, o, MIX_PROTOCOL),
+                when, partial(self._inject, subject, host, route[0][1], onion)
             )
+
+    def _inject(
+        self, subject: Subject, host: SimHost, first_hop: Address, onion: Sealed
+    ) -> None:
+        """Put one sender's onion on the wire; note its packet id."""
+        self.ingress_ids[subject] = host.send(first_hop, onion, MIX_PROTOCOL).packet_id
 
     def settle(self) -> None:
         # Flush partial batches until every mix is empty: a partial
@@ -277,7 +276,7 @@ class MixnetProgram(ScenarioProgram):
             senders=self.param("senders"),
             sender_send_times=self.send_times,
             table_entities=entity_order,
-            onion_map=self.onions,
+            ingress_ids=self.ingress_ids,
             routes_used=self.routes_used,
         )
 

@@ -30,7 +30,7 @@ from repro.obs.tracing import NOOP_SPAN, get_tracer
 from .addressing import Address, AddressAllocator
 from .packets import Packet, estimate_size
 from .sim import Simulator
-from .trace import PacketRecord, TrafficTrace
+from .trace import TrafficTrace
 
 __all__ = ["Network", "SimHost", "TransactTimeout", "WireObserver"]
 
@@ -122,9 +122,9 @@ class SimHost:
         protocol: str,
         size: Optional[int] = None,
         flow: Optional[str] = None,
-    ) -> None:
-        """Fire-and-forget one-way send."""
-        self.network.send(self, dst, payload, protocol, size=size, flow=flow)
+    ) -> Packet:
+        """Fire-and-forget one-way send; returns the packet sent."""
+        return self.network.send(self, dst, payload, protocol, size=size, flow=flow)
 
     def transact(
         self,
@@ -161,15 +161,8 @@ class WireObserver:
         self.trace = TrafficTrace()
 
     def notice(self, packet: Packet, time: float) -> None:
-        self.trace.record(
-            PacketRecord(
-                time=time,
-                src=packet.src,
-                dst=packet.dst,
-                size=packet.size,
-                protocol=packet.protocol,
-                packet_id=packet.packet_id,
-            )
+        self.trace.append(
+            time, packet.src, packet.dst, packet.size, packet.protocol, packet.packet_id
         )
         if packet.sender_identity is not None:
             self.entity.observe(
@@ -241,10 +234,6 @@ class Network:
         #: this many simulated seconds without a response instead of
         #: stalling until the queue drains.
         self.transact_timeout: Optional[float] = None
-        #: Every delivered packet, in order -- simulation-side ground
-        #: truth for adversary evaluations (not adversary-visible; the
-        #: adversary gets only the metadata in ``trace``).
-        self.delivered: List[Packet] = []
 
     # ------------------------------------------------------------------
     # Topology
@@ -475,15 +464,8 @@ class Network:
     def _arrive(self, packet: Packet) -> None:
         """The arrival body: the four delivery steps of the module doc."""
         now = self.simulator.now
-        self.trace.record(
-            PacketRecord(
-                time=now,
-                src=packet.src,
-                dst=packet.dst,
-                size=packet.size,
-                protocol=packet.protocol,
-                packet_id=packet.packet_id,
-            )
+        self.trace.append(
+            now, packet.src, packet.dst, packet.size, packet.protocol, packet.packet_id
         )
         observers = self._observers_for(packet.src.prefix, packet.dst.prefix)
         if observers:
@@ -512,7 +494,6 @@ class Network:
         )
         self.messages_delivered += 1
         self.bytes_delivered += packet.size
-        self.delivered.append(packet)
 
         if packet.response_to is not None:
             self._responses[packet.response_to] = packet.payload

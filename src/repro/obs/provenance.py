@@ -514,8 +514,9 @@ def build_provenance(
 
     graph = ProvenanceGraph()
 
-    # Packets, in wire order.  A packet delivered twice (impossible
-    # today) would keep its first record.
+    # Packets, in wire order.  A packet delivered twice -- a
+    # ``LinkFault(duplicate=...)`` copy -- has two trace records and
+    # one node, which keeps the first arrival's record.
     if trace is not None:
         for record in trace:
             node_id = f"pkt:{record.packet_id}"

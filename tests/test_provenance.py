@@ -118,6 +118,30 @@ class TestEndToEndChain:
         assert "local act" in chains[0].origin
 
 
+class TestDuplicateDelivery:
+    def test_trace_keeps_both_copies_and_the_graph_one_node(self):
+        from repro.faults import FaultPlan, FaultRuntime, LinkFault
+
+        world = World()
+        network = Network()
+        client = network.add_host("client", world.entity("Client", "user"))
+        server = network.add_host("server", world.entity("Server", "server-org"))
+        server.register("p", lambda packet: None)
+        plan = FaultPlan(seed=0, links=(LinkFault(duplicate=0.99),))
+        FaultRuntime(plan, network).install()
+        blob = LabeledValue("x", NONSENSITIVE_DATA, ALICE, "blob")
+        packet = client.send(server.address, blob, "p")
+        network.run()
+
+        first, second = network.trace.records
+        assert first.packet_id == second.packet_id == packet.packet_id
+        assert first.time < second.time
+        graph = build_provenance(SimpleNamespace(world=world, network=network))
+        packets = [n for n in graph.nodes.values() if n["node"] == "packet"]
+        assert len(packets) == 1
+        assert packets[0]["time"] == first.time
+
+
 class TestWhyErrors:
     def test_unknown_entity_lists_known_ones(self):
         graph, *_ = _traced_relay_run()

@@ -112,7 +112,7 @@ class TestImsiModes:
 
 def _first_station(run):
     """Recover a base station from the network by its host name."""
-    for address, host in run.network._hosts.items():
+    for host in run.network.hosts():
         if host.name.startswith("cell:"):
             class _Shim:
                 cell_id = host.name.split(":", 1)[1]
