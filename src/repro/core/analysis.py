@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .entities import World
-from .labels import Facet, Label
-from .ledger import Ledger, Observation
+from .labels import Facet
+from .ledger import _DATA, _IDENTITY, Ledger, Observation, Pool
 from .tuples import KnowledgeCell, KnowledgeTable, cell_from_labels, facets_in_ledger
 from .values import Subject
 
@@ -98,21 +98,6 @@ class BreachReport:
         return not self.coupled_subjects
 
 
-#: What an observation's label makes its linkage class hold (0: neither).
-_SENSITIVE_IDENTITY = 1
-_SENSITIVE_DATA = 2
-#: Label -> one of the above, filled once per distinct label.
-_LABEL_CLASSES: Dict[Label, int] = {}
-
-
-def _label_class(label: Label) -> int:
-    cls = 0
-    if label.is_sensitive:
-        cls = _SENSITIVE_IDENTITY if label.is_identity else _SENSITIVE_DATA
-    _LABEL_CLASSES[label] = cls
-    return cls
-
-
 def _find(parent: List[int], node: int) -> int:
     """Root of ``node``, halving the path on the way up."""
     while True:
@@ -132,30 +117,32 @@ def _union(parent: List[int], a: int, b: int) -> None:
 
 
 class _Linkage:
-    """The linkage classes of one pool of observations.
+    """The linkage classes of one pool of ledger rows.
 
-    A flat integer union-find.  There is one node per distinct value
-    digest, and every observation belongs to its digest's node, so a
-    value seen twice links its observations without a union.  A session
-    seen again joins its observations' nodes.  A *complete* share group
-    (at least ``total`` distinct indices, ``total`` taken from the
-    group's last share in pool order) joins its members' nodes and
-    counts as sensitive data there.  ``find`` is iterative, so a linkage
-    chain of any length fits the interpreter's stack.
+    A flat integer union-find over the rows' columns; no observation is
+    built.  There is one node per distinct value digest, and every row
+    belongs to its digest's node, so a value seen twice links its rows
+    without a union.  A session seen again joins its rows' nodes.  A
+    *complete* share group (at least ``total`` distinct indices,
+    ``total`` taken from the group's last share in pool order) joins its
+    members' nodes and counts as sensitive data there.  ``find`` is
+    iterative, so a linkage chain of any length fits the interpreter's
+    stack.  Digests and sessions compare as strings, since their ids
+    are per segment.
 
     After construction:
 
-    * ``nodes[i]`` is observation ``i``'s node;
+    * ``nodes[i]`` is the node of the pool's ``i``-th row;
     * ``identity`` / ``data`` are the nodes of sensitive-identity and
-      sensitive-data observations, ``data`` including the first member
-      of every complete share group;
+      sensitive-data rows, ``data`` including the first member of
+      every complete share group;
     * ``reconstructed`` maps each complete share group, in order of
       first appearance, to the position of its first member.
     """
 
     __slots__ = ("parent", "nodes", "identity", "data", "reconstructed")
 
-    def __init__(self, observations: Iterable[Observation]) -> None:
+    def __init__(self, ledger: Ledger, pool: Pool) -> None:
         parent: List[int] = []
         nodes: List[int] = []
         identity: Set[int] = set()
@@ -165,32 +152,38 @@ class _Linkage:
         share_indices: Dict[str, Set[int]] = {}
         share_totals: Dict[str, int] = {}
         share_members: Dict[str, List[int]] = {}
-        classes = _LABEL_CLASSES
-        for obs in observations:
-            digest = obs.value_digest
-            node = digest_node.get(digest)
-            if node is None:
-                node = digest_node[digest] = len(parent)
-                parent.append(node)
-            session = obs.session
-            if session:
-                first = session_node.setdefault(session, node)
-                if first != node:
-                    _union(parent, first, node)
-            cls = classes.get(obs.label)
-            if cls is None:
-                cls = _label_class(obs.label)
-            if cls == _SENSITIVE_IDENTITY:
-                identity.add(node)
-            elif cls == _SENSITIVE_DATA:
-                data.add(node)
-            share = obs.share_info
-            if share is not None:
-                group = share.group
-                share_indices.setdefault(group, set()).add(share.index)
-                share_totals[group] = share.total
-                share_members.setdefault(group, []).append(len(nodes))
-            nodes.append(node)
+        flags = ledger._label_flags
+        for segment, rows in pool:
+            digests = segment.digests
+            digest_col = segment.digest
+            sessions = segment.sessions
+            session_col = segment.session
+            label_col = segment.label
+            shares = segment.shares
+            for row in rows:
+                digest = digests[digest_col[row]]
+                node = digest_node.get(digest)
+                if node is None:
+                    node = digest_node[digest] = len(parent)
+                    parent.append(node)
+                session = sessions[session_col[row]]
+                if session:
+                    first = session_node.setdefault(session, node)
+                    if first != node:
+                        _union(parent, first, node)
+                cls = flags[label_col[row]]
+                if cls == _IDENTITY:
+                    identity.add(node)
+                elif cls == _DATA:
+                    data.add(node)
+                if shares:
+                    share = shares.get(row)
+                    if share is not None:
+                        group = share.group
+                        share_indices.setdefault(group, set()).add(share.index)
+                        share_totals[group] = share.total
+                        share_members.setdefault(group, []).append(len(nodes))
+                nodes.append(node)
         reconstructed: Dict[str, int] = {}
         for group, indices in share_indices.items():
             if len(indices) >= share_totals[group]:
@@ -207,7 +200,7 @@ class _Linkage:
         self.reconstructed = reconstructed
 
     def root(self, position: int) -> int:
-        """The linkage class of observation ``position``."""
+        """The linkage class of the pool's row ``position``."""
         return _find(self.parent, self.nodes[position])
 
     def couples(self) -> bool:
@@ -224,9 +217,14 @@ class _Linkage:
         return any(_find(parent, node) in identity_roots for node in self.data)
 
 
-def _observations_couple(observations: Sequence[Observation]) -> bool:
-    """Linkage-based coupling over one subject's pooled observations."""
-    return _Linkage(observations).couples()
+def _linkage_of(observations: Iterable[Observation]) -> _Linkage:
+    """The linkage of a free-standing pool, routed through a scratch ledger.
+
+    Pool positions are the observations' positions in ``observations``.
+    """
+    ledger = Ledger()
+    ledger.ingest(observations)
+    return _Linkage(ledger, [(ledger.active_segment, range(len(ledger)))])
 
 
 class DecouplingAnalyzer:
@@ -334,9 +332,7 @@ class DecouplingAnalyzer:
             coalition_false.clear()
             self._synced = total
             return
-        dirty_pairs: Set[Tuple[str, str]] = set()
-        for obs in ledger.rows_between(synced, total):
-            dirty_pairs.add((obs.entity, obs.subject.name))
+        dirty_pairs = ledger._pairs_between(synced, total)
         dirty_names: Set[str] = set()
         for pair in dirty_pairs:
             if entity_memo.get(pair) is False:
@@ -390,7 +386,9 @@ class DecouplingAnalyzer:
     def entity_couples(self, entity: str, subject: Subject) -> bool:
         """Can this entity alone attribute sensitive data to ▲?"""
         self._sync()
-        name = subject.name
+        return self._entity_couples(entity, subject.name)
+
+    def _entity_couples(self, entity: str, name: str) -> bool:
         key = (entity, name)
         cached = self._entity_couples_memo.get(key)
         if cached is not None:
@@ -402,29 +400,30 @@ class DecouplingAnalyzer:
             # memoized -- the O(1) gate stays correct as rows arrive,
             # where a stored False would need invalidating.
             return False
-        cached = _observations_couple(self.ledger.by_pair(entity, subject))
+        ledger = self.ledger
+        cached = _Linkage(ledger, ledger._pool("by_pair", entity, name)).couples()
         self._entity_couples_memo[key] = cached
         return cached
 
-    def _coalition_couples_one(self, orgs: FrozenSet[str], subject: Subject) -> bool:
-        """Memoized per-(coalition, subject) coupling check.
+    def _coalition_couples_one(self, orgs: FrozenSet[str], name: str) -> bool:
+        """Memoized per-(coalition, subject name) coupling check.
 
         The pool concatenates the members' buckets, so its cost is the
         pool size, not the ledger size.  It is not in global record
         order; the union-find coupling check does not depend on order.
         """
         self._sync()
-        name = subject.name
         key = (orgs, name)
         cached = self._coalition_couples_memo.get(key)
         if cached is not None:
             return cached
         if not self.ledger.coalition_is_coupling_candidate(orgs, name):
             return False
-        pool: List[Observation] = []
+        ledger = self.ledger
+        pool: Pool = []
         for org in sorted(orgs):
-            pool.extend(self.ledger.by_org_subject(org, subject))
-        cached = _observations_couple(pool)
+            pool += ledger._pool("by_org_pair", org, name)
+        cached = _Linkage(ledger, pool).couples()
         self._coalition_couples_memo[key] = cached
         if not cached:
             self._coalition_false_keys.setdefault(name, []).append(key)
@@ -436,17 +435,16 @@ class DecouplingAnalyzer:
         """Would these organizations, colluding, re-couple ▲ with ●?"""
         orgs = frozenset(organizations)
         if subject is not None:
-            return self._coalition_couples_one(orgs, subject)
+            return self._coalition_couples_one(orgs, subject.name)
         self._sync()
         # Only candidate subjects can make the pooled check True; for
         # every other subject _coalition_couples_one is False by the
         # same gate, so skipping them cannot change the any().  The
         # candidates come newest first, so the pool built before the
         # first True reloads the fewest spilled segments.
-        ledger = self.ledger
         return any(
-            self._coalition_couples_one(orgs, ledger.subject(name))
-            for name in ledger.coalition_candidate_names(orgs)
+            self._coalition_couples_one(orgs, name)
+            for name in self.ledger.coalition_candidate_names(orgs)
         )
 
     # ------------------------------------------------------------------
@@ -474,9 +472,9 @@ class DecouplingAnalyzer:
             violating: Set[Tuple[str, str]] = set()
             for entity in self.world.non_user_entities():
                 entity_name = entity.name
-                for subject in ledger.subjects_of_entity(entity_name):
-                    if self.entity_couples(entity_name, subject):
-                        violating.add((entity_name, subject.name))
+                for name in ledger._pair_names(entity_name):
+                    if self._entity_couples(entity_name, name):
+                        violating.add((entity_name, name))
             self._violations = violating
             self._pending.clear()
         elif self._pending:
@@ -491,7 +489,7 @@ class DecouplingAnalyzer:
             for pair in pending:
                 if pair in violating or pair[0] not in non_user:
                     continue
-                if self.entity_couples(pair[0], ledger.subject(pair[1])):
+                if self._entity_couples(*pair):
                     violating.add(pair)
         # Render in world declaration order per entity, global subject
         # first-appearance order within it.
@@ -576,19 +574,20 @@ class DecouplingAnalyzer:
         identified: List[Subject] = []
         with_data: List[Subject] = []
         coupled: List[Subject] = []
-        for subject in self.ledger.subjects():
-            pool = self.ledger.by_org_subject(organization, subject)
+        ledger = self.ledger
+        for name in ledger.subject_names():
+            pool = ledger._pool("by_org_pair", organization, name)
             if not pool:
                 # An empty pool yields an all-non-sensitive cell and no
                 # coupling.
                 continue
-            labels = {obs.label for obs in pool}
-            cell = cell_from_labels(labels, self.facets())
+            subject = Subject(name)
+            cell = cell_from_labels(ledger._pool_labels(pool), self.facets())
             if cell.knows_sensitive_identity:
                 identified.append(subject)
             if cell.knows_sensitive_data:
                 with_data.append(subject)
-            if _observations_couple(pool):
+            if _Linkage(ledger, pool).couples():
                 coupled.append(subject)
         return BreachReport(
             organization=organization,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Set, Tuple
 
-from .ledger import Ledger, Observation
+from .ledger import Ledger
 from .values import LabeledValue, Sealed, collect_values
 
 __all__ = ["Organization", "Entity", "World"]
@@ -94,7 +94,7 @@ class Entity:
         channel: str = "message",
         session: str = "",
         packet_id: int | None = None,
-    ) -> List[Observation]:
+    ) -> range:
         """Record everything in ``item`` this entity can see.
 
         ``item`` may be a single :class:`LabeledValue`, a
@@ -107,8 +107,8 @@ class Entity:
         observation to the wire packet that caused it.
 
         The walk-and-record happens through the batched
-        :meth:`~repro.core.ledger.Ledger.record_fast` seam (one index
-        fold, one version bump per call).
+        :meth:`~repro.core.ledger.Ledger.record_fast` seam (one fold,
+        one version bump per call); the new rows' numbers come back.
         """
         return self.ledger.record_fast(
             self.name,

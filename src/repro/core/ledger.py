@@ -2,24 +2,28 @@
 
 Every time an entity observes information during a protocol run -- a
 message delivered to it, a packet passing a wiretap, an identifier
-presented during authentication -- an :class:`Observation` is appended
-to the run's :class:`Ledger`.  The analyzer
-(:mod:`repro.core.analysis`) never looks at the systems themselves,
-only at the ledger; this keeps the derivation of the paper's tables
-honest.
+presented during authentication -- one row is appended to the run's
+:class:`Ledger`.  The analyzer (:mod:`repro.core.analysis`) never looks
+at the systems themselves, only at the ledger; this keeps the
+derivation of the paper's tables honest.
 
-Storage is sharded into append-only segments
-(:class:`repro.core.segments.LedgerSegment`): ``record``/``record_fast``
-append to the single *active* segment and maintain its per-segment
-buckets, while the ledger keeps compact global summaries (subject and
-entity first-appearance order, per-pair label combinations, per-pair
-sensitivity flags, per-organization sensitive-subject sets, identity
-facets).  Sealed segments are immutable and can spill their rows to
-disk, one compact JSON document per segment; every query below merges
-per-segment buckets on demand, reloading spilled segments only when
-their rows are actually touched.
-A default-constructed ledger never auto-seals, so small runs behave
-exactly like the flat in-memory ledger always did; large runs call
+A row is no Python object.  Storage is sharded into append-only
+segments (:class:`repro.core.segments.LedgerSegment`) whose rows are
+typed ``array`` columns of integer ids; the ledger owns the tables that
+the low-cardinality ids index (entities, organizations, subject names,
+labels, descriptions with provenance, channels) and compact global
+summaries keyed by id (per-pair label bitmasks, per-organization
+sensitive-subject sets, share pairs).  One fold (:meth:`Ledger._fold`)
+serves :meth:`~Ledger.record_fast`, :meth:`~Ledger.ingest` and
+:meth:`~Ledger.merged`.  An :class:`Observation` is built only when a
+caller reads one -- iteration, the ``by_*`` queries,
+:meth:`~Ledger.rows_between` -- so two reads give equal, not identical,
+observations; the analyzer's coupling checks read the columns directly.
+
+Sealed segments are immutable and can spill their columns to disk; every
+query merges per-segment buckets on demand, reloading spilled segments
+only when their rows are actually touched.  A default-constructed
+ledger never auto-seals; large runs call
 :meth:`Ledger.configure_segments` to bound resident memory (see
 docs/SCALE.md).
 
@@ -39,31 +43,30 @@ import shutil
 import sys
 import tempfile
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 )
 
 from repro.obs import runtime as _obs
 from repro.obs.metrics import get_registry as _get_registry
 
 from .labels import Facet, Kind, Label
-from .segments import LedgerSegment
+from .segments import NO_PACKET, LedgerSegment
 from .values import LabeledValue, ShareInfo, Subject, digest_of
 
 __all__ = ["Observation", "Ledger"]
 
-_EMPTY: Tuple["Observation", ...] = ()
-
 _intern = sys.intern
+
+#: Label flags: what a label makes a row hold (0: neither).  They also
+#: index an organization's ``(share, identity, data)`` subject maps.
+_IDENTITY = 1
+_DATA = 2
+
+#: A pool: segment by segment, the local row numbers of some rows.
+Pool = List[Tuple[LedgerSegment, Sequence[int]]]
 
 
 @dataclass(slots=True)
@@ -81,12 +84,8 @@ class Observation:
     guess, the packet behind every knowledge-table cell.
 
     Observations are value objects: treat them as immutable.  The
-    class is slotted but deliberately not ``frozen`` -- the frozen
-    machinery routes all twelve constructor stores through
-    ``object.__setattr__``, which dominated the drive-phase profile at
-    tens of thousands of records per run.  Nothing in the codebase
-    mutates one after construction, and the cached hash assumes nobody
-    does.
+    ledger builds one per row read, so the cached hash costs a row
+    that is never hashed nothing.
     """
 
     entity: str
@@ -106,30 +105,13 @@ class Observation:
     )
 
     def __hash__(self) -> int:
-        # Observations live in sets and dict keys throughout the
-        # coupling analysis; hashing all twelve fields per lookup
-        # dominated profiles.  The hash is computed once, lazily, on
-        # first use -- drive-phase records that the analyzer never
-        # hashes pay nothing.
         cached = self._cached_hash
         if cached is None:
-            cached = hash(
-                (
-                    self.entity,
-                    self.organization,
-                    self.subject,
-                    self.label,
-                    self.value_digest,
-                    self.description,
-                    self.time,
-                    self.channel,
-                    self.session,
-                    self.provenance,
-                    self.share_info,
-                    self.packet_id,
-                )
+            cached = self._cached_hash = hash(
+                (self.entity, self.organization, self.subject, self.label,
+                 self.value_digest, self.description, self.time, self.channel,
+                 self.session, self.provenance, self.share_info, self.packet_id)
             )
-            self._cached_hash = cached
         return cached
 
     def __str__(self) -> str:
@@ -138,57 +120,25 @@ class Observation:
             f"[{self.description}] of {self.subject} via {self.channel}"
         )
 
-
-# ----------------------------------------------------------------------
-# Interned label combinations
-# ----------------------------------------------------------------------
-#
-# At a million subjects the per-pair label sets dominate resident
-# memory if each pair owns a mutable set.  Label vocabularies are tiny
-# (a few dozen distinct combinations per run), so pairs share interned
-# frozensets instead: adding a label to a pair is one transition-cache
-# lookup, and the per-pair cost is a single pointer.  The caches keep
-# every combo alive, which is what makes keying the flag cache by
-# ``id(combo)`` sound.
-
-_COMBO_SINGLE: Dict[Label, FrozenSet[Label]] = {}
-_COMBO_NEXT: Dict[Tuple[int, Label], FrozenSet[Label]] = {}
-#: id(combo) -> bit flags: 1 = has sensitive identity, 2 = sensitive data.
-_COMBO_FLAGS: Dict[int, int] = {}
-#: Label -> the same flags, for the record hot loops.
-_LABEL_FLAGS: Dict[Label, int] = {}
+    @property
+    def _digest_cache(self) -> str:
+        """The digest where the fold reads a labeled value's memoized one."""
+        return self.value_digest
 
 
-def _label_flags(label: Label) -> int:
-    flags = _LABEL_FLAGS.get(label)
-    if flags is None:
-        flags = 0
-        if label.is_sensitive:
-            if label.is_identity:
-                flags |= 1
-            if label.is_data:
-                flags |= 2
-        _LABEL_FLAGS[label] = flags
-    return flags
+class _Table:
+    """An intern table: ``values[id]`` and ``ids[value]``."""
 
+    __slots__ = ("values", "ids")
 
-def _combo_single(label: Label) -> FrozenSet[Label]:
-    combo = _COMBO_SINGLE.get(label)
-    if combo is None:
-        combo = frozenset((label,))
-        _COMBO_SINGLE[label] = combo
-        _COMBO_FLAGS[id(combo)] = _label_flags(label)
-    return combo
+    def __init__(self) -> None:
+        self.values: list = []
+        self.ids: dict = {}
 
-
-def _combo_extend(combo: FrozenSet[Label], label: Label) -> FrozenSet[Label]:
-    key = (id(combo), label)
-    extended = _COMBO_NEXT.get(key)
-    if extended is None:
-        extended = frozenset((*combo, label))
-        _COMBO_NEXT[key] = extended
-        _COMBO_FLAGS[id(extended)] = _COMBO_FLAGS[id(combo)] | _label_flags(label)
-    return extended
+    def add(self, value) -> int:
+        ident = self.ids[value] = len(self.values)
+        self.values.append(value)
+        return ident
 
 
 def _cleanup_spill_dir(path: str) -> None:
@@ -203,45 +153,54 @@ class Ledger:
     """Append-only record of all observations in a protocol run."""
 
     def __init__(self) -> None:
-        self._segments: List[LedgerSegment] = [LedgerSegment(0, 0)]
-        self._total: int = 0
         self._version: int = 0
         self._generation: int = 0
-        # Global summaries, maintained by every record path.  Dicts
-        # preserve insertion order, so their keys double as the
-        # first-appearance orderings that entities()/subjects()
-        # promise.  Subject-keyed structures key on ``subject.name`` --
-        # subjects are equal iff their names are, and string keys hash
-        # at C speed (CPython caches a str's hash in the object) where
-        # Subject keys would re-enter a Python ``__hash__`` frame on
-        # every dict operation in the record hot loop.  ``_subjects``
-        # maps each name to its Subject in first-appearance order.
-        self._subjects: Dict[str, Subject] = {}
-        self._entity_order: Dict[str, None] = {}
-        self._org_order: Dict[str, None] = {}
-        self._labels_by_entity: Dict[str, Set[Label]] = {}
-        #: pair -> interned frozenset of labels (see module comment).
-        self._labels_by_pair: Dict[Tuple[str, str], FrozenSet[Label]] = {}
-        #: pairs that hold at least one secret share (rare; Prio).
-        self._share_pairs: Set[Tuple[str, str]] = set()
-        #: org -> subject names it saw with a sensitive identity label.
-        self._org_identity: Dict[str, Set[str]] = {}
-        #: org -> subject names it saw with a sensitive data label.
-        self._org_data: Dict[str, Set[str]] = {}
-        #: org -> subject names for which it holds secret shares.
-        self._org_share: Dict[str, Set[str]] = {}
-        self._identity_facets: Set[Facet] = set()
+        self._reset()
         # Segment policy and accounting (see configure_segments).
         self._segment_rows: Optional[int] = None
         self._spill_dir: Optional[str] = None
         self._owns_spill_dir: bool = False
         self._spill_finalizer = None
         self._auto_spill: bool = False
-        self._sealed_count: int = 0
-        self._spilled_count: int = 0
-        self._spilled_rows: int = 0
-        self._reloads: int = 0
         self._seal_listeners: List[Callable[["Ledger", LedgerSegment], None]] = []
+
+    def _reset(self) -> None:
+        """Empty rows, tables and summaries (construction and clear)."""
+        self._segments: List[LedgerSegment] = [LedgerSegment(0, 0)]
+        self._total = 0
+        self._sealed_count = 0
+        self._spilled_count = 0
+        self._spilled_rows = 0
+        self._reloads = 0
+        # Ledger-wide tables, in first-appearance order, so the entity
+        # and subject tables double as the orders entities()/subjects()
+        # promise.  Subjects are kept by name: two subjects are the same
+        # iff their names are, and a name is no object the collector
+        # has to visit.
+        self._entities = _Table()
+        self._orgs = _Table()
+        self._subjects = _Table()
+        self._labels = _Table()
+        #: (description, provenance) pairs.
+        self._descs = _Table()
+        self._channels = _Table()
+        #: Per label id: _IDENTITY / _DATA if the label is a sensitive
+        #: identity / sensitive data, else 0.
+        self._label_flags: List[int] = []
+        #: Bitmasks over label ids: sensitive identities, sensitive data.
+        self._identity_bits = 0
+        self._data_bits = 0
+        #: Per entity id: bitmask of the label ids it observed.
+        self._entity_labels: List[int] = []
+        #: Per entity id: subject id -> bitmask of the label ids seen.
+        self._pair_labels: List[Dict[int, int]] = []
+        #: Per organization id: the subject ids it saw with a secret
+        #: share, a sensitive identity, sensitive data (dicts, which the
+        #: collector stops tracking, rather than sets, which it never
+        #: does).
+        self._org_subjects: List[Tuple[Dict[int, None], ...]] = []
+        #: (entity id, subject id) pairs holding a secret share (rare).
+        self._share_pairs: Set[Tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Versioning
@@ -292,7 +251,7 @@ class Ledger:
         many rows (``None``: never auto-seal -- the default, in which
         case the ledger behaves exactly like the flat single-segment
         ledger).  ``spill=True``: sealed segments immediately spill
-        their rows to one JSON file each under ``directory``.  When
+        their columns to one file each under ``directory``.  When
         ``directory`` is ``None`` a fresh private temp directory is
         created lazily; it is unique per ledger *and* per process
         (``mkdtemp`` plus the pid in the prefix), so parallel harness
@@ -367,7 +326,7 @@ class Ledger:
 
     def _spill_segment(self, segment: LedgerSegment) -> None:
         directory = self._ensure_spill_dir()
-        path = os.path.join(directory, f"segment-{segment.index:05d}.json")
+        path = os.path.join(directory, f"segment-{segment.index:05d}.bin")
         dropped = segment.spill(path)
         if dropped:
             self._spilled_count += 1
@@ -386,7 +345,7 @@ class Ledger:
         return self._spilled_rows - before
 
     def _loaded(self, segment: LedgerSegment) -> LedgerSegment:
-        if segment.rows is None:
+        if not segment.resident:
             segment.load()
             self._reloads += 1
         return segment
@@ -414,40 +373,133 @@ class Ledger:
     # Record paths
     # ------------------------------------------------------------------
 
-    def _fold_summaries(self, observation: Observation) -> None:
-        """Fold one observation into every global summary."""
-        entity = observation.entity
-        org = observation.organization
-        name = observation.subject.name
-        label = observation.label
-        if name not in self._subjects:
-            self._subjects[name] = observation.subject
-        self._entity_order.setdefault(entity, None)
-        self._org_order.setdefault(org, None)
-        self._labels_by_entity.setdefault(entity, set()).add(label)
-        pair = (entity, name)
-        combo = self._labels_by_pair.get(pair)
-        if combo is None:
-            self._labels_by_pair[pair] = _combo_single(label)
-        elif label not in combo:
-            self._labels_by_pair[pair] = _combo_extend(combo, label)
-        flags = _label_flags(label)
-        if flags:
-            if flags & 1:
-                self._org_identity.setdefault(org, set()).add(name)
-            if flags & 2:
-                self._org_data.setdefault(org, set()).add(name)
-        if observation.share_info is not None:
-            self._share_pairs.add(pair)
-            self._org_share.setdefault(org, set()).add(name)
-        if label.kind is Kind.IDENTITY:
-            self._identity_facets.add(label.facet)
+    def _new_entity(self, entity: str) -> int:
+        self._entity_labels.append(0)
+        self._pair_labels.append({})
+        return self._entities.add(entity)
 
-    def _append(self, observation: Observation) -> None:
-        """Fold one observation into the active segment and summaries."""
-        self._segments[-1].fold(observation)
-        self._fold_summaries(observation)
-        self._total += 1
+    def _new_org(self, organization: str) -> int:
+        self._org_subjects.append(({}, {}, {}))
+        return self._orgs.add(organization)
+
+    def _new_label(self, label: Label) -> int:
+        flags = 0
+        if label.is_sensitive:
+            flags = _IDENTITY if label.is_identity else _DATA
+        ident = self._labels.add(label)
+        self._label_flags.append(flags)
+        if flags == _IDENTITY:
+            self._identity_bits |= 1 << ident
+        elif flags == _DATA:
+            self._data_bits |= 1 << ident
+        return ident
+
+    def _fold(
+        self, entity: str, organization: str, values: Iterable, time: float,
+        channel: str, session: str, packet_id: Optional[int],
+    ) -> range:
+        """Append one interaction's rows and fold them into the summaries.
+
+        ``values`` are labeled values, or observations being
+        re-ingested: anything with ``subject``, ``label``,
+        ``description``, ``provenance``, ``share_info`` and a
+        ``_digest_cache``.  One entity, organization, time, channel, session
+        and packet id cover the batch, so their ids, buckets and
+        summary maps resolve once.  Bumps :attr:`version` once and
+        returns the new rows' numbers.
+        """
+        segment = self._segments[-1]
+        eid = self._entities.ids.get(entity)
+        if eid is None:
+            eid = self._new_entity(entity)
+        oid = self._orgs.ids.get(organization)
+        if oid is None:
+            oid = self._new_org(organization)
+        cid = self._channels.ids.get(channel)
+        if cid is None:
+            cid = self._channels.add(_intern(channel))
+        sessions = segment.sessions
+        if not sessions or sessions[-1] != session:
+            sessions.append(session)
+        session_id = len(sessions) - 1
+        packet = NO_PACKET if packet_id is None else packet_id
+        pair_rows = segment.by_pair.get(eid)
+        if pair_rows is None:
+            pair_rows = segment.by_pair[eid] = {}
+        org_rows = segment.by_org_pair.get(oid)
+        if org_rows is None:
+            org_rows = segment.by_org_pair[oid] = {}
+        subject_ids = self._subjects.ids
+        label_ids = self._labels.ids
+        label_flags = self._label_flags
+        desc_ids = self._descs.ids
+        digest_ids = segment.digest_ids
+        digest_table = segment.digests
+        pair_labels = self._pair_labels[eid]
+        org_subjects = self._org_subjects[oid]
+        (add_entity, add_org, add_subject, add_label, add_description, add_channel,
+         add_digest, add_session, add_time, add_packet) = segment.appends
+        entity_mask = 0
+        first = row = segment.count
+        for value in values:
+            name = value.subject.name
+            subject = subject_ids.get(name)
+            if subject is None:
+                subject = self._subjects.add(name)
+            label = value.label
+            lid = label_ids.get(label)
+            if lid is None:
+                lid = self._new_label(label)
+            key = (value.description, value.provenance)
+            did = desc_ids.get(key)
+            if did is None:
+                did = self._descs.add(key)
+            value_digest = value._digest_cache
+            if value_digest is None:
+                value_digest = digest_of(value)
+            gid = digest_ids.get(value_digest)
+            if gid is None:
+                gid = digest_ids[value_digest] = len(digest_table)
+                digest_table.append(value_digest)
+            add_entity(eid)
+            add_org(oid)
+            add_subject(subject)
+            add_label(lid)
+            add_description(did)
+            add_channel(cid)
+            add_digest(gid)
+            add_session(session_id)
+            add_time(time)
+            add_packet(packet)
+            rows = pair_rows.get(subject)
+            if rows is None:
+                pair_rows[subject] = array("I", (row,))
+            else:
+                rows.append(row)
+            rows = org_rows.get(subject)
+            if rows is None:
+                org_rows[subject] = array("I", (row,))
+            else:
+                rows.append(row)
+            bit = 1 << lid
+            entity_mask |= bit
+            mask = pair_labels.get(subject, 0)
+            if not mask & bit:
+                pair_labels[subject] = mask | bit
+            flags = label_flags[lid]
+            if flags:
+                org_subjects[flags][subject] = None
+            share = value.share_info
+            if share is not None:
+                segment.shares[row] = share
+                self._share_pairs.add((eid, subject))
+                org_subjects[0][subject] = None
+            row += 1
+        self._entity_labels[eid] |= entity_mask
+        segment.count = row
+        self._total += row - first
+        self._version += 1
+        return range(segment.start + first, segment.start + row)
 
     def _maybe_roll_segment(self) -> None:
         limit = self._segment_rows
@@ -476,16 +528,11 @@ class Ledger:
         ``packet_id`` stamps the wire packet whose delivery caused the
         observation, if any; the provenance graph joins on it.
         """
-        (observation,) = self.record_fast(
-            entity,
-            organization,
-            [value],
-            time=time,
-            channel=channel,
-            session=session,
-            packet_id=packet_id,
+        (row,) = self.record_fast(
+            entity, organization, [value], time=time, channel=channel,
+            session=session, packet_id=packet_id,
         )
-        return observation
+        return next(self.rows_between(row, row + 1))
 
     def record_fast(
         self,
@@ -497,141 +544,114 @@ class Ledger:
         channel: str = "message",
         session: str = "",
         packet_id: Optional[int] = None,
-    ) -> List[Observation]:
+    ) -> range:
         """Batch-append one interaction's pre-walked values.
 
         :meth:`Entity.observe <repro.core.entities.Entity.observe>`
         walks an item once with
-        :func:`~repro.core.values.collect_values` and folds the whole
-        value list into the active segment's buckets and the global
-        summaries here, with hoisted bucket lookups, interned
-        channel/session strings, memoized value digests, and **one
-        version bump for the whole batch** (see :attr:`version` for why
-        that is sound).  The resulting observations, indices, and
-        iteration order are exactly what the equivalent sequence of
+        :func:`~repro.core.values.collect_values` and appends the whole
+        value list here, through the one fold, with **one version bump
+        for the whole batch** (see :attr:`version` for why that is
+        sound).  Returns the new rows' numbers; the rows, and their
+        iteration order, are exactly what the equivalent sequence of
         :meth:`record` calls would produce.  Batches never straddle a
         segment boundary: the auto-seal check runs once per batch, so
         segment sizes are approximate by at most one batch.
         """
         if not values:
-            return []
-        channel = _intern(channel)
-        session = _intern(session)
-        segment = self._segments[-1]
-        rows = segment.rows
-        seg_by_subject = segment.by_subject
-        seg_by_pair = segment.by_entity_subject
-        seg_by_org_pair = segment.by_org_subject
-        subjects = self._subjects
-        labels_by_pair = self._labels_by_pair
-        share_pairs = self._share_pairs
-        identity_facets = self._identity_facets
-        # One interaction has one entity/organization: resolve those
-        # buckets and summary sets once per batch instead of per value.
-        entity_bucket = segment.by_entity.setdefault(entity, [])
-        org_bucket = segment.by_organization.setdefault(organization, [])
-        entity_labels = self._labels_by_entity.setdefault(entity, set())
-        if entity not in self._entity_order:
-            self._entity_order[entity] = None
-        if organization not in self._org_order:
-            self._org_order[organization] = None
-        org_identity = self._org_identity.setdefault(organization, set())
-        org_data = self._org_data.setdefault(organization, set())
-        recorded: List[Observation] = []
-        for value in values:
-            subject = value.subject
-            name = subject.name
-            label = value.label
-            value_digest = value._digest_cache
-            if value_digest is None:
-                value_digest = digest_of(value)
-            observation = Observation(
-                entity,
-                organization,
-                subject,
-                label,
-                value_digest,
-                value.description,
-                time,
-                channel,
-                session,
-                value.provenance,
-                value.share_info,
-                packet_id,
-            )
-            rows.append(observation)
-            entity_bucket.append(observation)
-            org_bucket.append(observation)
-            bucket = seg_by_subject.get(name)
-            if bucket is None:
-                seg_by_subject[name] = [observation]
-            else:
-                bucket.append(observation)
-            if name not in subjects:
-                subjects[name] = subject
-            pair = (entity, name)
-            bucket = seg_by_pair.get(pair)
-            if bucket is None:
-                seg_by_pair[pair] = [observation]
-            else:
-                bucket.append(observation)
-            org_pair = (organization, name)
-            bucket = seg_by_org_pair.get(org_pair)
-            if bucket is None:
-                seg_by_org_pair[org_pair] = [observation]
-            else:
-                bucket.append(observation)
-            entity_labels.add(label)
-            combo = labels_by_pair.get(pair)
-            if combo is None:
-                labels_by_pair[pair] = _combo_single(label)
-            elif label not in combo:
-                labels_by_pair[pair] = _combo_extend(combo, label)
-            flags = _LABEL_FLAGS.get(label)
-            if flags is None:
-                flags = _label_flags(label)
-            if flags:
-                if flags & 1:
-                    org_identity.add(name)
-                if flags & 2:
-                    org_data.add(name)
-            if value.share_info is not None:
-                share_pairs.add(pair)
-                self._org_share.setdefault(organization, set()).add(name)
-            if label.kind is Kind.IDENTITY:
-                identity_facets.add(label.facet)
-            recorded.append(observation)
-        segment.count += len(recorded)
-        self._total += len(recorded)
-        self._version += 1
+            return range(self._total, self._total)
+        rows = self._fold(
+            entity, organization, values, time, channel, session, packet_id
+        )
         if _obs.COUNTERS:
             observations = _get_registry().observations
-            observations[channel] = observations.get(channel, 0) + len(recorded)
+            observations[channel] = observations.get(channel, 0) + len(rows)
         self._maybe_roll_segment()
-        return recorded
+        return rows
 
     def ingest(self, observations: Iterable[Observation]) -> None:
         """Append pre-built observations (deserialization, replay).
 
-        Maintains every index and summary and bumps :attr:`version`
-        once per observation, exactly as :meth:`record` would; this is
-        the supported way to rebuild a ledger from stored rows.
+        Each observation goes through the same fold as a one-value
+        :meth:`record_fast` batch, so every index and summary is
+        maintained and :attr:`version` bumps once per observation,
+        exactly as :meth:`record` would; this is the supported way to
+        rebuild a ledger from stored rows.
         """
-        for observation in observations:
-            self._append(observation)
-            self._version += 1
+        for obs in observations:
+            self._fold(
+                obs.entity, obs.organization, (obs,), obs.time, obs.channel,
+                obs.session, obs.packet_id,
+            )
             self._maybe_roll_segment()
 
     # ------------------------------------------------------------------
-    # Queries
+    # Row reads
     # ------------------------------------------------------------------
+
+    def _observations(
+        self, segment: LedgerSegment, rows: Iterable[int]
+    ) -> Iterator[Observation]:
+        """Build the observations of a resident segment's local ``rows``."""
+        entities = self._entities.values
+        orgs = self._orgs.values
+        names = self._subjects.values
+        labels = self._labels.values
+        descs = self._descs.values
+        channels = self._channels.values
+        digests = segment.digests
+        sessions = segment.sessions
+        shares = segment.shares
+        (entity, organization, subject_col, label, description, channel, digest,
+         session, time, packet) = segment.columns()
+        subjects: Dict[int, Subject] = {}
+        for row in rows:
+            sid = subject_col[row]
+            subject = subjects.get(sid)
+            if subject is None:
+                subject = subjects[sid] = Subject(names[sid])
+            text, provenance = descs[description[row]]
+            packet_id = packet[row]
+            yield Observation(
+                entities[entity[row]],
+                orgs[organization[row]],
+                subject,
+                labels[label[row]],
+                digests[digest[row]],
+                text,
+                time[row],
+                channels[channel[row]],
+                sessions[session[row]],
+                provenance,
+                shares.get(row),
+                None if packet_id == NO_PACKET else packet_id,
+            )
+
+    def _spans(
+        self, start: int, stop: int
+    ) -> Iterator[Tuple[LedgerSegment, int, int]]:
+        """``(segment, lo, hi)`` local ranges covering rows ``[start, stop)``.
+
+        A spilled segment in the range comes as a decoded copy that is
+        not installed, so a sequential scan never inflates the resident
+        set or counts a reload.
+        """
+        for segment in self._segments:
+            seg_start = segment.start
+            if seg_start >= stop:
+                break
+            if seg_start + segment.count <= start:
+                continue
+            lo = max(0, start - seg_start)
+            hi = min(segment.count, stop - seg_start)
+            yield (segment if segment.resident else segment.read()), lo, hi
 
     def __len__(self) -> int:
         return self._total
 
     def __iter__(self) -> Iterator[Observation]:
         for segment in self._segments:
-            yield from self._loaded(segment).rows
+            yield from self._observations(self._loaded(segment), range(segment.count))
 
     @property
     def observations(self) -> Tuple[Observation, ...]:
@@ -647,96 +667,158 @@ class Ledger:
         by consuming each segment at seal time via
         :meth:`add_seal_listener`.)
         """
-        if start >= stop:
-            return
-        for segment in self._segments:
-            seg_start = segment.start
-            if seg_start >= stop:
-                break
-            seg_end = seg_start + segment.count
-            if seg_end <= start:
-                continue
-            lo = max(0, start - seg_start)
-            hi = min(segment.count, stop - seg_start)
-            rows = segment.rows if segment.resident else segment.read_rows()
-            if lo == 0 and hi == segment.count:
-                yield from rows
-            else:
-                yield from rows[lo:hi]
+        for segment, lo, hi in self._spans(start, stop):
+            yield from self._observations(segment, range(lo, hi))
+
+    def _pairs_between(self, start: int, stop: int) -> Set[Tuple[str, str]]:
+        """The distinct (entity, subject name) pairs of rows ``[start, stop)``."""
+        pairs: Set[Tuple[int, int]] = set()
+        for segment, lo, hi in self._spans(start, stop):
+            pairs.update(zip(segment.entity[lo:hi], segment.subject[lo:hi]))
+        entities = self._entities.values
+        names = self._subjects.values
+        return {(entities[eid], names[sid]) for eid, sid in pairs}
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
 
     def entities(self) -> Tuple[str, ...]:
         """Entity names in order of first appearance."""
-        return tuple(self._entity_order)
+        return tuple(self._entities.values)
 
     def subjects(self) -> Tuple[Subject, ...]:
         """Subjects in order of first appearance."""
-        return tuple(self._subjects.values())
+        return tuple(map(Subject, self._subjects.values))
 
     def subject(self, name: str) -> Subject:
-        """The interned :class:`Subject` for ``name`` (KeyError if unseen)."""
-        return self._subjects[name]
+        """The :class:`Subject` for ``name`` (KeyError if unseen)."""
+        if name not in self._subjects.ids:
+            raise KeyError(name)
+        return Subject(name)
 
     def subject_names(self) -> Tuple[str, ...]:
         """Subject names in order of first appearance."""
-        return tuple(self._subjects)
+        return tuple(self._subjects.values)
 
     def identity_facets(self) -> FrozenSet[Facet]:
         """The identity facets observed so far (unordered)."""
-        return frozenset(self._identity_facets)
+        return frozenset(
+            label.facet for label in self._labels.values if label.kind is Kind.IDENTITY
+        )
 
-    def _merge_buckets(self, attribute: str, key) -> Tuple[Observation, ...]:
-        segments = self._segments
-        if len(segments) == 1:
-            bucket = getattr(segments[0], attribute).get(key)
-            return tuple(bucket) if bucket else _EMPTY
-        merged: List[Observation] = []
-        for segment in segments:
-            buckets = getattr(segment, attribute)
-            if buckets is None:
-                # Spilled: the key summary says whether this segment
-                # holds any rows for the key at all, so absent keys
-                # never trigger a reload.
-                if key not in segment.keys[attribute]:
+    def _pool(self, buckets: str, key: str, name: str) -> Pool:
+        """The rows of one (entity or organization, subject) bucket.
+
+        ``buckets`` is ``"by_pair"`` (``key`` an entity) or
+        ``"by_org_pair"`` (``key`` an organization).  Spilled segments
+        whose key summary lacks the pair are skipped without a reload.
+        """
+        table, summary = (
+            (self._entities, "pair") if buckets == "by_pair" else (self._orgs, "org_pair")
+        )
+        kid = table.ids.get(key)
+        sid = self._subjects.ids.get(name)
+        if kid is None or sid is None:
+            return []
+        pool: Pool = []
+        for segment in self._segments:
+            index = getattr(segment, buckets)
+            if index is None:
+                if not segment.has_key(summary, kid << 32 | sid):
                     continue
-                buckets = getattr(self._loaded(segment), attribute)
-            bucket = buckets.get(key)
-            if bucket:
-                merged.extend(bucket)
-        return tuple(merged)
+                index = getattr(self._loaded(segment), buckets)
+            rows = index.get(kid)
+            rows = rows.get(sid) if rows else None
+            if rows:
+                pool.append((segment, rows))
+        return pool
+
+    def _scan(self, column: str, table: _Table, key: str) -> Tuple[Observation, ...]:
+        """Every row whose ``column`` id is ``key``'s, in record order."""
+        kid = table.ids.get(key)
+        if kid is None:
+            return ()
+        found: List[Observation] = []
+        for segment in self._segments:
+            if not segment.resident and not segment.has_key(column, kid):
+                continue
+            ids = getattr(self._loaded(segment), column)
+            rows = [row for row, ident in enumerate(ids) if ident == kid]
+            found.extend(self._observations(segment, rows))
+        return tuple(found)
+
+    def _read_pool(self, pool: Pool) -> Tuple[Observation, ...]:
+        return tuple(
+            obs for segment, rows in pool for obs in self._observations(segment, rows)
+        )
 
     def by_entity(self, entity: str) -> Tuple[Observation, ...]:
-        return self._merge_buckets("by_entity", entity)
+        return self._scan("entity", self._entities, entity)
 
     def by_organization(self, organization: str) -> Tuple[Observation, ...]:
-        return self._merge_buckets("by_organization", organization)
+        return self._scan("organization", self._orgs, organization)
 
     def by_subject(self, subject: Subject) -> Tuple[Observation, ...]:
-        return self._merge_buckets("by_subject", subject.name)
+        return self._scan("subject", self._subjects, subject.name)
 
     def by_pair(self, entity: str, subject: Subject) -> Tuple[Observation, ...]:
         """Observations of one entity about one subject, in record order."""
-        return self._merge_buckets("by_entity_subject", (entity, subject.name))
+        return self._read_pool(self._pool("by_pair", entity, subject.name))
+
+    def numbered_pair(
+        self, entity: str, subject: Subject
+    ) -> Tuple[Tuple[int, Observation], ...]:
+        """:meth:`by_pair` with each observation's row number.
+
+        The row number is the observation's index in iteration order,
+        which is also its ``obs:<index>`` node in the provenance graph.
+        """
+        pool = self._pool("by_pair", entity, subject.name)
+        numbers = [segment.start + row for segment, rows in pool for row in rows]
+        return tuple(zip(numbers, self._read_pool(pool)))
 
     def by_org_subject(
         self, organization: str, subject: Subject
     ) -> Tuple[Observation, ...]:
         """Observations by one organization about one subject."""
-        return self._merge_buckets("by_org_subject", (organization, subject.name))
+        return self._read_pool(self._pool("by_org_pair", organization, subject.name))
+
+    def _pair_names(self, entity: str) -> List[str]:
+        """Names of the subjects ``entity`` observed, by first appearance."""
+        eid = self._entities.ids.get(entity)
+        if eid is None:
+            return []
+        names = self._subjects.values
+        return [names[sid] for sid in sorted(self._pair_labels[eid])]
 
     def subjects_of_entity(self, entity: str) -> Tuple[Subject, ...]:
         """Subjects ``entity`` has observed, in global first-appearance order."""
-        pairs = self._labels_by_pair
-        return tuple(
-            subject
-            for name, subject in self._subjects.items()
-            if (entity, name) in pairs
-        )
+        return tuple(map(Subject, self._pair_names(entity)))
+
+    def _label_set(self, mask: int) -> Set[Label]:
+        return {
+            label for ident, label in enumerate(self._labels.values) if mask >> ident & 1
+        }
 
     def labels_of(self, entity: str, subject: Optional[Subject] = None) -> Set[Label]:
         """The set of labels ``entity`` has observed (optionally per subject)."""
+        eid = self._entities.ids.get(entity)
+        if eid is None:
+            return set()
         if subject is None:
-            return set(self._labels_by_entity.get(entity, ()))
-        return set(self._labels_by_pair.get((entity, subject.name), ()))
+            return self._label_set(self._entity_labels[eid])
+        sid = self._subjects.ids.get(subject.name)
+        return self._label_set(self._pair_labels[eid].get(sid, 0))
+
+    def _pool_labels(self, pool: Pool) -> Set[Label]:
+        """The labels of a pool's rows."""
+        mask = 0
+        for segment, rows in pool:
+            column = segment.label
+            for lid in set(map(column.__getitem__, rows)):
+                mask |= 1 << lid
+        return self._label_set(mask)
 
     # ------------------------------------------------------------------
     # Streaming-analyzer summaries
@@ -748,43 +830,35 @@ class Ledger:
         Coupling requires a sensitive identity label in the pair's pool
         plus either a sensitive data label or a secret share (a
         complete share group reconstructs to sensitive data).  The
-        check is O(1) against the interned label-combo flags, so the
-        analyzer can dismiss the overwhelmingly common one-sided pairs
-        without touching their rows.  Conservative by construction:
-        ``True`` means "must run the union-find", never "couples".
+        check is O(1) against the pair's label bitmask, so the analyzer
+        can dismiss the overwhelmingly common one-sided pairs without
+        touching their rows.  Conservative by construction: ``True``
+        means "must run the union-find", never "couples".
         """
-        combo = self._labels_by_pair.get((entity, name))
-        if combo is None:
+        eid = self._entities.ids.get(entity)
+        sid = self._subjects.ids.get(name)
+        if eid is None or sid is None:
             return False
-        flags = _COMBO_FLAGS[id(combo)]
-        if not flags & 1:
+        mask = self._pair_labels[eid].get(sid, 0)
+        if not mask & self._identity_bits:
             return False
-        if flags & 2:
-            return True
-        return (entity, name) in self._share_pairs
+        return bool(mask & self._data_bits) or (eid, sid) in self._share_pairs
 
     def coalition_is_coupling_candidate(
         self, organizations: Iterable[str], name: str
     ) -> bool:
         """Same pre-filter for a pooled coalition and one subject."""
-        has_identity = False
-        has_data = False
-        org_identity = self._org_identity
-        org_data = self._org_data
-        org_share = self._org_share
+        sid = self._subjects.ids.get(name)
+        if sid is None:
+            return False
+        has_identity = has_data = False
         for org in organizations:
-            if not has_identity:
-                names = org_identity.get(org)
-                if names is not None and name in names:
-                    has_identity = True
-            if not has_data:
-                names = org_data.get(org)
-                if names is not None and name in names:
-                    has_data = True
-                else:
-                    names = org_share.get(org)
-                    if names is not None and name in names:
-                        has_data = True
+            oid = self._orgs.ids.get(org)
+            if oid is None:
+                continue
+            share, identity, data = self._org_subjects[oid]
+            has_identity = has_identity or sid in identity
+            has_data = has_data or sid in data or sid in share
             if has_identity and has_data:
                 return True
         return False
@@ -799,32 +873,27 @@ class Ledger:
         sensitive data nor shares, cannot couple no matter how its
         observations link.
 
-        Names come newest first, by first appearance, lazily.  A
-        subject's rows all lie at or after its first appearance, so a
-        caller that stops at the first coupling subject builds the pool
-        that touches the fewest old (possibly spilled) segments, and
-        the probe order never depends on string hashing.
+        Names come newest first, by first appearance.  A subject's rows
+        all lie at or after its first appearance, so a caller that
+        stops at the first coupling subject builds the pool that
+        touches the fewest old (possibly spilled) segments, and the
+        probe order never depends on string hashing.
         """
-        orgs = list(organizations)
-        data: Set[str] = set()
-        for org in orgs:
-            names = self._org_data.get(org)
-            if names:
-                data |= names
-            names = self._org_share.get(org)
-            if names:
-                data |= names
+        maps = [
+            self._org_subjects[self._orgs.ids[org]]
+            for org in organizations
+            if org in self._orgs.ids
+        ]
+        data: Set[int] = set()
+        for share, _, subjects in maps:
+            data.update(share, subjects)
         if not data:
             return iter(())
-        identity: Set[str] = set()
-        for org in orgs:
-            names = self._org_identity.get(org)
-            if names:
-                identity |= names
-        candidates = identity & data
-        if not candidates:
-            return iter(())
-        return (name for name in reversed(self._subjects) if name in candidates)
+        identity: Set[int] = set()
+        for _, subjects, _ in maps:
+            identity.update(subjects)
+        names = self._subjects.values
+        return (names[sid] for sid in sorted(identity & data, reverse=True))
 
     # ------------------------------------------------------------------
     # Merge / reset
@@ -833,31 +902,12 @@ class Ledger:
     def merged(self, other: "Ledger") -> "Ledger":
         """A new ledger holding both runs' observations, time-ordered."""
         combined = Ledger()
-        for observation in sorted(
-            [*self, *other], key=lambda o: o.time
-        ):
-            combined._append(observation)
-        combined._version = combined._total
+        combined.ingest(sorted([*self, *other], key=lambda o: o.time))
         return combined
 
     def clear(self) -> None:
         for segment in self._segments:
             segment.discard_spill()
-        self._segments = [LedgerSegment(0, 0)]
-        self._total = 0
-        self._subjects.clear()
-        self._entity_order.clear()
-        self._org_order.clear()
-        self._labels_by_entity.clear()
-        self._labels_by_pair.clear()
-        self._share_pairs.clear()
-        self._org_identity.clear()
-        self._org_data.clear()
-        self._org_share.clear()
-        self._identity_facets.clear()
-        self._sealed_count = 0
-        self._spilled_count = 0
-        self._spilled_rows = 0
-        self._reloads = 0
+        self._reset()
         self._version += 1
         self._generation += 1

@@ -1,21 +1,27 @@
-"""Append-only ledger segments: sealed, compact, spillable storage.
+"""Append-only ledger segments: typed columns, sealed, spillable.
 
 The streaming ledger (:class:`repro.core.ledger.Ledger`) shards its
-observations into :class:`LedgerSegment` instances.  Exactly one
-segment is *active* at any time -- ``record``/``record_fast`` append to
-it and maintain its per-segment buckets.  Sealing a segment freezes it
-(rows and buckets become tuples, cheap to share and impossible to
-mutate by accident); a sealed segment can then be *spilled*: its rows
-are written to disk as one compact JSON document (see
-:meth:`LedgerSegment.spill`) and the in-memory rows and buckets are
-dropped.  A spilled segment reloads transparently the first time a
-query needs its rows, and stays resident afterwards so observation
-identity is stable for the duration of an analysis pass
+rows into :class:`LedgerSegment` instances.  Exactly one segment is
+*active* at any time -- the ledger's one fold appends to its columns and
+keeps its ``(entity, subject)`` and ``(organization, subject)`` row
+buckets current.  A row is no object: it is one slot in each of ten
+``array`` columns of integer ids (see :data:`COLUMNS`).  Entity,
+organization, subject, label, description and channel ids index the
+ledger's own tables; value digests and sessions, the two fields with a
+distinct value per row or per delivery, index tables of the segment's
+own, so their strings leave memory with the segment.  The rare
+secret-share marks sit in a side table keyed by row.
+
+Sealing a segment ends its appends (it drops the append-time digest
+dict).  A sealed segment can then be *spilled*: its columns' bytes go
+to disk (see :meth:`LedgerSegment.spill`) and the columns, tables and
+buckets are dropped, leaving sorted integer key summaries so absent
+keys never force a reload.  A spilled segment reloads transparently the
+first time a query needs its rows and stays resident afterwards
 (``docs/SCALE.md`` documents the lifecycle and the memory bounds).
 
 Segments know their global ``start`` offset, so concatenating segment
-buckets in segment order reproduces exactly the record-order iteration
-the flat ledger promised.
+rows in segment order reproduces the ledger's record order.
 """
 
 from __future__ import annotations
@@ -23,122 +29,133 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Dict, Optional, Tuple
 
-from .labels import Facet, Kind, Label, Sensitivity
-from .values import ShareInfo, Subject
+from .values import ShareInfo
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .ledger import Observation
+__all__ = ["LedgerSegment", "COLUMNS", "NO_PACKET"]
 
-__all__ = ["LedgerSegment"]
+#: Column name -> ``array`` typecode, in the order a spill file stores
+#: them.  ``digest`` and ``session`` index the segment's own tables;
+#: the other ids index the ledger's.
+COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("entity", "I"),
+    ("organization", "I"),
+    ("subject", "I"),
+    ("label", "B"),
+    ("description", "I"),
+    ("channel", "I"),
+    ("digest", "I"),
+    ("session", "I"),
+    ("time", "d"),
+    ("packet", "q"),
+)
+_NAMES = tuple(name for name, _ in COLUMNS)
 
-_intern = sys.intern
+#: The ``packet`` column's value for a row with no packet id.
+NO_PACKET = -(1 << 63)
 
-#: Fields per row in a spill file's flat ``rows`` array.
-_ROW_FIELDS = 12
+
+def _pair_keys(buckets: Dict[int, Dict[int, array]]) -> array:
+    """Sorted ``(id << 32) | subject`` keys of a bucket index."""
+    return array(
+        "Q", sorted(key << 32 | subject for key, rows in buckets.items() for subject in rows)
+    )
 
 
 class LedgerSegment:
-    """One shard of a ledger: rows plus per-segment index buckets.
+    """One shard of a ledger: typed row columns plus row buckets.
 
-    Lifecycle: *active* (mutable lists, appended to by the ledger's
-    record paths) -> *sealed* (immutable: rows and every bucket frozen
-    to tuples) -> optionally *spilled* (rows and buckets dropped;
-    ``spill_path`` holds the JSON document they reload from).
+    Lifecycle: *active* (columns appended to by the ledger's fold) ->
+    *sealed* (no more appends) -> optionally *spilled* (columns, tables
+    and buckets dropped; ``spill_path`` holds the bytes they reload
+    from, ``keys`` the sorted ids present).
+
+    ``by_pair[entity][subject]`` and ``by_org_pair[organization][subject]``
+    are ``array('I')`` lists of local row numbers in record order.
     """
 
     __slots__ = (
         "index",
         "start",
-        "rows",
+        "count",
         "sealed",
         "spill_path",
-        "by_entity",
-        "by_organization",
-        "by_subject",
-        "by_entity_subject",
-        "by_org_subject",
         "keys",
-        "count",
+        *_NAMES,
+        "appends",
+        "digests",
+        "sessions",
+        "digest_ids",
+        "shares",
+        "by_pair",
+        "by_org_pair",
     )
 
     def __init__(self, index: int, start: int) -> None:
         self.index = index
         self.start = start
-        self.rows: Optional[List] = []
+        self.count = 0
         self.sealed = False
         self.spill_path: Optional[str] = None
-        self.by_entity: Optional[Dict[str, List]] = {}
-        self.by_organization: Optional[Dict[str, List]] = {}
-        self.by_subject: Optional[Dict[str, List]] = {}
-        self.by_entity_subject: Optional[Dict[Tuple[str, str], List]] = {}
-        self.by_org_subject: Optional[Dict[Tuple[str, str], List]] = {}
-        #: While spilled: bucket-attribute name -> frozenset of that
-        #: bucket dict's keys, so the ledger can answer "does this
-        #: segment hold rows for key K?" without reloading the rows.
-        #: ``None`` while the segment is resident.
-        self.keys: Optional[Dict[str, frozenset]] = None
-        self.count = 0
+        #: While spilled: summary name -> sorted ``array`` of the ids
+        #: (``entity``, ``organization``, ``subject``) or pair keys
+        #: (``pair``, ``org_pair``) the segment holds.
+        self.keys: Optional[Dict[str, array]] = None
+        for name, code in COLUMNS:
+            setattr(self, name, array(code))
+        #: The columns' bound ``append`` methods, for the ledger's fold.
+        self.appends = tuple(column.append for column in self.columns())
+        self.digests: Optional[list] = []
+        #: One entry per batch whose session differs from the previous
+        #: batch's (a repeat costs nothing; sessions compare by value).
+        self.sessions: Optional[list] = []
+        self.digest_ids: Optional[Dict[str, int]] = {}
+        #: local row -> ShareInfo, for the rows that carry one.
+        self.shares: Optional[Dict[int, ShareInfo]] = {}
+        self.by_pair: Optional[Dict[int, Dict[int, array]]] = {}
+        self.by_org_pair: Optional[Dict[int, Dict[int, array]]] = {}
 
     # -- state ---------------------------------------------------------
 
     @property
     def resident(self) -> bool:
-        """True when the segment's rows are in memory."""
-        return self.rows is not None
+        """True when the segment's columns are in memory."""
+        return self.entity is not None
 
-    def fold(self, observation) -> None:
-        """Append one observation to the rows and every bucket."""
-        entity = observation.entity
-        org = observation.organization
-        name = observation.subject.name
-        self.rows.append(observation)
-        self.by_entity.setdefault(entity, []).append(observation)
-        self.by_organization.setdefault(org, []).append(observation)
-        self.by_subject.setdefault(name, []).append(observation)
-        self.by_entity_subject.setdefault((entity, name), []).append(observation)
-        self.by_org_subject.setdefault((org, name), []).append(observation)
-        self.count += 1
+    def columns(self) -> Tuple[array, ...]:
+        """The row columns, in :data:`COLUMNS` order."""
+        return tuple(getattr(self, name) for name in _NAMES)
 
     def seal(self) -> None:
-        """Freeze the segment: compact rows and buckets to tuples."""
-        if self.sealed:
-            return
-        self.rows = tuple(self.rows)
-        for bucket_dict in (
-            self.by_entity,
-            self.by_organization,
-            self.by_subject,
-            self.by_entity_subject,
-            self.by_org_subject,
-        ):
-            for key, bucket in bucket_dict.items():
-                bucket_dict[key] = tuple(bucket)
-        self.count = len(self.rows)
+        """End appends: drop the append methods and the digest dict."""
         self.sealed = True
+        self.appends = None
+        self.digest_ids = None
+
+    def has_key(self, summary: str, key: int) -> bool:
+        """Does this spilled segment hold rows for ``key``?"""
+        keys = self.keys[summary]
+        at = bisect_left(keys, key)
+        return at < len(keys) and keys[at] == key
 
     # -- spill / reload ------------------------------------------------
 
     def spill(self, path: str) -> int:
-        """Write rows to ``path`` and drop the in-memory copy.
+        """Write the columns to ``path`` and drop the in-memory copy.
 
-        The file is one JSON document: ``labels``, the segment's
-        distinct labels as ``[kind, sensitivity, facet, partial]``, and
-        ``rows``, one flat array holding each observation's fields in
-        order, twelve per row::
-
-            entity, organization, subject, label_index, value_digest,
-            description, time, channel, session, provenance,
-            share_info, packet_id
-
-        where ``share_info`` is ``null`` or ``[group, index, total]``.
-        Only the ledger that wrote a spill file reads it back, so the
-        layout carries no version; the public row export is
-        :func:`repro.core.serialize.ledger_to_jsonl`.
+        The file is an 8-byte little-endian header length, a JSON
+        header, then each column's raw bytes in :data:`COLUMNS` order.
+        The header holds the segment's digest and session tables and
+        its share rows as ``[row, group, index, total]``.  Ids refer to
+        the owning ledger's tables, so only that ledger reads the file
+        back, and the layout carries no version; the public row export
+        is :func:`repro.core.serialize.ledger_to_jsonl`.
 
         Only sealed segments spill (the active segment is still being
-        appended to).  Returns the number of rows written.  Idempotent:
+        appended to).  Returns the number of rows dropped.  Idempotent:
         a segment that already spilled just drops its resident copy
         again without rewriting the file.  If writing fails, the
         partial file is removed, the error propagates, and the segment
@@ -146,57 +163,27 @@ class LedgerSegment:
         """
         if not self.sealed:
             raise ValueError("only sealed segments can be spilled")
-        if self.rows is None:
+        if self.entity is None:
             return 0
         if self.spill_path is None:
-            label_index: Dict[Label, int] = {}
-            # One flat list rather than a container per row: the rows
-            # of a whole segment are alive until the one ``dumps``
-            # call, and that many new containers would run the cyclic
-            # garbage collector in the middle of every spill
-            # (docs/PERFORMANCE.md, "Segment spill").
-            fields: list = []
-            extend = fields.extend
-            for observation in self.rows:
-                label = observation.label
-                index = label_index.get(label)
-                if index is None:
-                    index = label_index[label] = len(label_index)
-                share = observation.share_info
-                extend(
-                    (
-                        observation.entity,
-                        observation.organization,
-                        observation.subject.name,
-                        index,
-                        observation.value_digest,
-                        observation.description,
-                        observation.time,
-                        observation.channel,
-                        observation.session,
-                        observation.provenance,
-                        None
-                        if share is None
-                        else (share.group, share.index, share.total),
-                        observation.packet_id,
-                    )
-                )
-            labels = [
-                [
-                    label.kind.value,
-                    label.sensitivity.value,
-                    label.facet.value,
-                    label.partial,
-                ]
-                for label in label_index
-            ]
-            text = json.dumps(
-                {"labels": labels, "rows": fields}, separators=(",", ":")
-            )
+            header = json.dumps(
+                {
+                    "digests": self.digests,
+                    "sessions": self.sessions,
+                    "shares": [
+                        [row, share.group, share.index, share.total]
+                        for row, share in self.shares.items()
+                    ],
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
             tmp = f"{path}.tmp.{os.getpid()}"
             try:
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                with open(tmp, "wb") as handle:
+                    handle.write(len(header).to_bytes(8, "little"))
+                    handle.write(header)
+                    for column in self.columns():
+                        column.tofile(handle)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -205,110 +192,71 @@ class LedgerSegment:
                     pass
                 raise
             self.spill_path = path
-        dropped = self.count
-        # The key summaries retain dict keys that the ledger's global
-        # summaries mostly hold anyway (entity/org/subject name strings
-        # and the interned pair tuples), so their marginal memory is
-        # set overhead, not duplicated data -- a cheap price for never
-        # reloading a segment just to find a key absent.
         self.keys = {
-            "by_entity": frozenset(self.by_entity),
-            "by_organization": frozenset(self.by_organization),
-            "by_subject": frozenset(self.by_subject),
-            "by_entity_subject": frozenset(self.by_entity_subject),
-            "by_org_subject": frozenset(self.by_org_subject),
+            "entity": array("I", sorted(self.by_pair)),
+            "organization": array("I", sorted(self.by_org_pair)),
+            "subject": array("I", sorted(set(self.subject))),
+            "pair": _pair_keys(self.by_pair),
+            "org_pair": _pair_keys(self.by_org_pair),
         }
-        self.rows = None
-        self.by_entity = None
-        self.by_organization = None
-        self.by_subject = None
-        self.by_entity_subject = None
-        self.by_org_subject = None
-        return dropped
+        for name in _NAMES:
+            setattr(self, name, None)
+        self.digests = self.sessions = self.shares = None
+        self.by_pair = self.by_org_pair = None
+        return self.count
 
-    def read_rows(self) -> List[Observation]:
-        """Decode the spill file into fresh observations, in row order.
+    def read(self) -> "LedgerSegment":
+        """The spill file decoded into a fresh, unindexed segment.
 
-        The file is parsed once.  Rows share one :class:`Label` per
-        distinct label and one :class:`Subject` per distinct name, and
-        channel and session strings are re-interned, so decoded rows
-        share them the way ``record_fast`` did.  The decoded rows are
-        value-equal to the originals but are not installed: the segment
-        stays spilled, so sequential scans (``Ledger.rows_between``)
-        never inflate the resident set the way :meth:`load` would.
+        The copy holds the columns and tables only (no buckets), with
+        its session strings interned, so repeated reads share them.  It
+        is not installed: this segment stays spilled, so sequential
+        scans (``Ledger.rows_between``) never inflate the resident set
+        the way :meth:`load` would.
         """
         if self.spill_path is None:
             raise ValueError(f"segment {self.index} has no spill file to load")
-        # Imported lazily: the ledger module imports this one at its top.
-        from .ledger import Observation
-
-        with open(self.spill_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        labels = [
-            Label(Kind(kind), Sensitivity(sensitivity), Facet(facet), partial)
-            for kind, sensitivity, facet, partial in document["labels"]
-        ]
-        subjects: Dict[str, Subject] = {}
-        rows = []
-        fields = iter(document["rows"])
-        for (
-            entity,
-            organization,
-            name,
-            label_index,
-            value_digest,
-            description,
-            time,
-            channel,
-            session,
-            provenance,
-            share,
-            packet_id,
-        ) in zip(*(fields,) * _ROW_FIELDS):
-            subject = subjects.get(name)
-            if subject is None:
-                subject = subjects[name] = Subject(name)
-            rows.append(
-                Observation(
-                    entity,
-                    organization,
-                    subject,
-                    labels[label_index],
-                    value_digest,
-                    description,
-                    time,
-                    _intern(channel),
-                    _intern(session),
-                    tuple(provenance),
-                    None if share is None else ShareInfo(*share),
-                    packet_id,
-                )
-            )
-        return rows
+        with open(self.spill_path, "rb") as handle:
+            data = memoryview(handle.read())
+        offset = 8 + int.from_bytes(data[:8], "little")
+        header = json.loads(bytes(data[8:offset]))
+        copy = LedgerSegment(self.index, self.start)
+        copy.count = self.count
+        copy.sealed = True
+        copy.appends = copy.digest_ids = copy.by_pair = copy.by_org_pair = None
+        for column in copy.columns():
+            end = offset + column.itemsize * self.count
+            column.frombytes(data[offset:end])
+            offset = end
+        copy.digests = header["digests"]
+        copy.sessions = [sys.intern(session) for session in header["sessions"]]
+        copy.shares = {row: ShareInfo(*share) for row, *share in header["shares"]}
+        return copy
 
     def load(self) -> None:
-        """Reload a spilled segment's rows and rebuild its buckets.
+        """Reload a spilled segment's columns and rebuild its buckets.
 
-        The rebuilt rows are value-equal (and serialize byte-identical)
-        to the originals.  The segment stays resident until the owning
-        ledger explicitly spills it again, which keeps observation
-        identity stable across one analysis pass.
+        The segment stays resident until the owning ledger explicitly
+        spills it again.
         """
-        if self.rows is not None:
+        if self.entity is not None:
             return
-        rows = self.read_rows()
-        self.sealed = False
+        copy = self.read()
+        for name in (*_NAMES, "digests", "sessions", "shares"):
+            setattr(self, name, getattr(copy, name))
         self.keys = None
-        self.rows = []
-        self.by_entity = {}
-        self.by_organization = {}
-        self.by_subject = {}
-        self.by_entity_subject = {}
-        self.by_org_subject = {}
-        self.count = 0
-        for observation in rows:
-            self.fold(observation)
-        self.seal()
+        self.by_pair = {}
+        self.by_org_pair = {}
+        for buckets, keys in (
+            (self.by_pair, self.entity),
+            (self.by_org_pair, self.organization),
+        ):
+            for row, (key, subject) in enumerate(zip(keys, self.subject)):
+                rows = buckets.setdefault(key, {}).get(subject)
+                if rows is None:
+                    buckets[key][subject] = array("I", (row,))
+                else:
+                    rows.append(row)
 
     def discard_spill(self) -> None:
         """Delete the spill file, if any (ledger clear/teardown)."""

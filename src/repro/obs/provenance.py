@@ -45,7 +45,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis import BreachReport, _Linkage
+from repro.core.analysis import BreachReport, _linkage_of
 from repro.core.labels import Label
 from repro.core.ledger import Ledger, Observation
 from repro.core.serialize import label_to_dict, observation_from_dict
@@ -689,7 +689,7 @@ def _find_witness(
     if not pool:
         return None
     rows = [observation_from_dict(node) for node in pool]
-    linkage = _Linkage(rows)
+    linkage = _linkage_of(rows)
 
     def earliest(position: int) -> Tuple[float, int]:
         return pool[position]["time"], pool[position]["index"]

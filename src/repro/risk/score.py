@@ -527,10 +527,10 @@ class RiskReport:
 
 
 def _rank_pool(
-    pool: Sequence[Observation], index_of: Dict[int, int]
+    pool: Sequence[Tuple[int, Observation]],
 ) -> List[Tuple[Observation, int]]:
-    """The pool with global ledger indices, earliest first."""
-    entries = [(obs, index_of[id(obs)]) for obs in pool]
+    """The numbered pool as ``(observation, ledger index)``, earliest first."""
+    entries = [(obs, index) for index, obs in pool]
     entries.sort(key=lambda entry: (entry[0].time, entry[1]))
     return entries
 
@@ -597,8 +597,11 @@ def score_run(
     positive = {name: w for name, w in pop.items() if w > 0}
     set_size = anonymity_set_size(positive)
     pop_entropy = entropy_bits(positive)
-
-    index_of = {id(obs): i for i, obs in enumerate(ledger)}
+    # subject_linkability's total and 2^-H, computed once for every
+    # pair with the same float operations.
+    if set_size > 1:
+        total = sum(positive.values())
+        effective = 2.0 ** (-pop_entropy)
     w_s, w_l, w_i = (
         profile.w_sensitivity,
         profile.w_linkability,
@@ -609,17 +612,20 @@ def score_run(
     cells: List[CellRisk] = []
     for entity in world.entities:
         for subject in ledger.subjects_of_entity(entity.name):
-            pool = ledger.by_pair(entity.name, subject)
-            ranked = _rank_pool(pool, index_of)
+            ranked = _rank_pool(ledger.numbered_pair(entity.name, subject))
             weights = [
                 profile.weight_for(obs.label, obs.description)
                 for obs, _ in ranked
             ]
             sens = max(weights)
-            sens_at = next(
-                idx for (_, idx), w in zip(ranked, weights) if w == sens
+            sens_obs, sens_at = next(
+                entry for entry, w in zip(ranked, weights) if w == sens
             )
-            link = subject_linkability(pop, subject.name)
+            if set_size <= 1:
+                link = 1.0
+            else:
+                prior = positive.get(subject.name, 0.0) / total
+                link = 0.5 * prior + 0.5 * effective
             couples = analyzer.entity_couples(entity.name, subject)
             identity_at = next(
                 (
@@ -654,7 +660,6 @@ def score_run(
             )
 
             terms: List[RiskTerm] = []
-            sens_obs = ledger.observations[sens_at]
             terms.append(
                 RiskTerm(
                     component="sensitivity",
@@ -725,7 +730,7 @@ def score_run(
                     linkability=link,
                     inferability=rung,
                     couples=couples,
-                    observations=len(pool),
+                    observations=len(ranked),
                     terms=tuple(terms),
                 )
             )

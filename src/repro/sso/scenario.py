@@ -57,13 +57,16 @@ class SsoRun(ScenarioRun):
 
 
 class SsoProgram(ScenarioProgram):
-    """One user logging into two services under the chosen design."""
+    """One user logging into two services under the spec's design.
 
-    def validate(self) -> None:
-        if self.params["mode"] not in EXPECTED_TABLES_SSO:
-            raise ValueError(
-                "mode must be global, pairwise, or anonymous"
-            )
+    The spec id names the assertion design (``sso-<mode>``), so the
+    mode is no parameter: a run can never carry one design's id and
+    another's table.
+    """
+
+    @property
+    def mode(self) -> str:
+        return self.spec.id[len("sso-"):]
 
     def build(self) -> None:
         user_entity = self.world.entity("User", "user-device", trusted_by_user=True)
@@ -72,7 +75,7 @@ class SsoProgram(ScenarioProgram):
         service_b_entity = self.world.entity("Service B", "service-b-org")
 
         self.idp = IdentityProvider(
-            self.network, idp_entity, mode=self.param("mode"), rng=self.rng
+            self.network, idp_entity, mode=self.mode, rng=self.rng
         )
         self.service_a = ServiceProvider(self.network, service_a_entity, "service-a", self.idp)
         self.service_b = ServiceProvider(self.network, service_b_entity, "service-b", self.idp)
@@ -94,7 +97,7 @@ class SsoProgram(ScenarioProgram):
             world=self.world,
             network=self.network,
             analyzer=DecouplingAnalyzer(self.world),
-            mode=self.param("mode"),
+            mode=self.mode,
             logins=self.logins,
             idp=self.idp,
         )
@@ -107,7 +110,6 @@ def _register_sso(mode: str, experiment_id: str, label: str, order: float) -> No
             title=f"SSO, {label} (2.2, extension)",
             program=SsoProgram,
             params=(
-                Param("mode", mode, "assertion design: global/pairwise/anonymous"),
                 Param("logins_per_service", 2, "logins per service"),
                 Param("seed", 20221114, "per-run RNG seed (None: system entropy)"),
             ),

@@ -1,7 +1,9 @@
 """The coupling kernel against the recursive kernel it replaced.
 
-``repro.core.analysis._observations_couple`` decides whether a pool of
-observations links a sensitive identity to sensitive data.  The
+``repro.core.analysis._Linkage`` decides whether a pool of ledger rows
+links a sensitive identity to sensitive data.  It reads the ledger's
+columns, so each pool here is routed through a scratch ledger
+(``_linkage_of``) before the kernel sees it.  The
 analyzer equivalence suites (``test_perf_equivalence.py``,
 ``test_stream_equivalence.py``) compare two analyzers that both call
 this kernel, so a kernel bug passes them.  Here the kernel is checked
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupling_reference import _observations_couple as reference_couple
-from repro.core.analysis import _observations_couple
+from repro.core.analysis import _linkage_of
 from repro.core.labels import (
     NONSENSITIVE_DATA,
     NONSENSITIVE_IDENTITY,
@@ -65,6 +67,11 @@ def _obs(label, digest, session="", share=None):
         session=session,
         share_info=share,
     )
+
+
+def _observations_couple(pool):
+    """The production kernel's answer for a pool of observations."""
+    return _linkage_of(pool).couples()
 
 
 def _both(pool):

@@ -230,6 +230,35 @@ class TestScoreRun:
             score_run()
 
 
+def test_witness_indices_name_their_ledger_rows():
+    """Every term's and cell's ``observation`` is the ledger index of a
+    row of the pair with the stated label and description.
+
+    The ledger builds a fresh observation per read, so an index found
+    by object identity would silently point at recycled rows; a
+    many-subject run gives the recycling room to show."""
+    run = run_scenario("mixnet", senders=300)
+    rows = list(run.world.ledger)
+    report = score_run(run)
+    assert len(report.subjects) == 300
+    for pair in report.pairs:
+        for term in pair.terms:
+            row = rows[term.observation]
+            assert (row.entity, row.subject.name) == (pair.entity, pair.subject)
+            if term.component == "sensitivity":
+                assert term.detail.endswith(
+                    f" {row.label.glyph}[{row.description or '(unnamed)'}]"
+                )
+            elif term.detail.endswith("(identity witness)"):
+                assert row.label.is_identity and row.label.is_sensitive
+            elif term.detail.endswith("(data witness)"):
+                assert row.label.is_data and row.label.is_sensitive
+    for cell in report.cells:
+        row = rows[cell.observation]
+        assert (row.entity, row.subject.name) == (cell.entity, cell.subject)
+        assert (row.label.glyph, row.description) == (cell.glyph, cell.description)
+
+
 class TestRiskReport:
     def test_verdict_matches_analyzer_across_registry(self):
         for spec in all_specs():

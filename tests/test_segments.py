@@ -3,6 +3,7 @@
 import os
 import shutil
 import sys
+from array import array
 
 import pytest
 
@@ -88,8 +89,15 @@ class TestSealAndSpill:
         _fill(ledger, 6)
         segment = ledger.seal_active_segment()
         assert segment.sealed
-        assert isinstance(segment.rows, tuple)
-        assert isinstance(segment.by_subject["alice"], tuple)
+        # Rows are typed columns, buckets row-number arrays; sealing
+        # drops the append-time intern dicts.
+        assert all(
+            isinstance(column, array) and len(column) == 6
+            for column in segment.columns()
+        )
+        assert list(segment.by_pair[0][0]) == [0, 2, 4]
+        assert list(segment.by_org_pair[0][1]) == [1, 3, 5]
+        assert segment.appends is None and segment.digest_ids is None
         # A fresh active segment took over.
         assert ledger.active_segment is not segment
         assert ledger.active_segment.count == 0
@@ -108,7 +116,9 @@ class TestSealAndSpill:
         for seg in spilled:
             assert os.path.exists(seg.spill_path)
             assert seg.keys is not None
-            assert "alice" in seg.keys["by_subject"]
+            # Key summaries are sorted id arrays: alice is subject 0.
+            assert seg.keys["subject"] == array("I", [0, 1])
+            assert seg.has_key("subject", 0)
         # Reload transparently via a bucket query.
         rows = ledger.by_subject(ALICE)
         assert len(rows) == 5
@@ -147,10 +157,10 @@ class TestSealAndSpill:
         ledger.configure_segments(rows=2, spill=True, directory=str(tmp_path))
         # A directory where the spill file goes makes the final rename
         # fail after the temp file was written.
-        (tmp_path / "segment-00000.json").mkdir()
+        (tmp_path / "segment-00000.bin").mkdir()
         with pytest.raises(OSError):
             _fill(ledger, 2)
-        assert sorted(os.listdir(tmp_path)) == ["segment-00000.json"]
+        assert sorted(os.listdir(tmp_path)) == ["segment-00000.bin"]
         assert ledger.segments[0].resident
         _fill(ledger, 1)
         assert len(ledger) == 3

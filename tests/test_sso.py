@@ -82,3 +82,11 @@ class TestValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScenarioError):
             run_scenario("sso-federated-magic")
+
+    @pytest.mark.parametrize("spec_id", ["sso-global", "sso-pairwise", "sso-anonymous"])
+    def test_spec_id_fixes_the_design(self, spec_id):
+        """The id names the design: no run may carry one design's id
+        and another's table."""
+        with pytest.raises(ScenarioError, match="mode"):
+            run_scenario(spec_id, mode="anonymous")
+        assert run_scenario(spec_id).mode == spec_id[len("sso-"):]
