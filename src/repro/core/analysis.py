@@ -109,11 +109,18 @@ def _find(parent: List[int], node: int) -> int:
         node = grand
 
 
-def _union(parent: List[int], a: int, b: int) -> None:
+def _union(parent: List[int], marks: List[int], a: int, b: int) -> int:
+    """Join the classes of ``a`` and ``b``; the joined class's mark."""
     a = _find(parent, a)
     b = _find(parent, b)
     if a != b:
         parent[a] = b
+        marks[b] |= marks[a]
+    return marks[b]
+
+
+#: A class's mark when it holds both a sensitive identity and data.
+_COUPLED = _IDENTITY | _DATA
 
 
 class _Linkage:
@@ -125,28 +132,38 @@ class _Linkage:
     without a union.  A session seen again joins its rows' nodes.  A
     *complete* share group (at least ``total`` distinct indices,
     ``total`` taken from the group's last share in pool order) joins its
-    members' nodes and counts as sensitive data there.  ``find`` is
-    iterative, so a linkage chain of any length fits the interpreter's
-    stack.  Digests and sessions compare as strings, since their ids
-    are per segment.
+    members' nodes after the pass and counts as sensitive data there.
+    Every root carries a mark, the ``_IDENTITY``/``_DATA`` flags of its
+    class, merged on every union, so whether a class couples is known
+    the moment it forms.  ``find`` is iterative, so a linkage chain of
+    any length fits the interpreter's stack.  Digests and sessions
+    compare as strings, since their ids are per segment.
 
     After construction:
 
+    * ``coupled`` tells whether some class holds both a sensitive
+      identity and sensitive data (:meth:`couples`);
     * ``nodes[i]`` is the node of the pool's ``i``-th row;
-    * ``identity`` / ``data`` are the nodes of sensitive-identity and
-      sensitive-data rows, ``data`` including the first member of
-      every complete share group;
     * ``reconstructed`` maps each complete share group, in order of
       first appearance, to the position of its first member.
+
+    With ``stop=True`` (the yes/no callers) the pass ends at the row
+    that forms the first coupled class, and share groups close only
+    if none did; ``nodes`` and ``reconstructed`` are then partial.  The
+    witness search (:meth:`root`, ``reconstructed``) builds in full.
     """
 
-    __slots__ = ("parent", "nodes", "identity", "data", "reconstructed")
+    __slots__ = ("parent", "marks", "nodes", "reconstructed", "coupled")
 
-    def __init__(self, ledger: Ledger, pool: Pool) -> None:
+    def __init__(self, ledger: Ledger, pool: Pool, stop: bool = False) -> None:
         parent: List[int] = []
+        marks: List[int] = []
         nodes: List[int] = []
-        identity: Set[int] = set()
-        data: Set[int] = set()
+        self.parent = parent
+        self.marks = marks
+        self.nodes = nodes
+        self.reconstructed: Dict[str, int] = {}
+        self.coupled = False
         digest_node: Dict[str, int] = {}
         session_node: Dict[str, int] = {}
         share_indices: Dict[str, Set[int]] = {}
@@ -166,16 +183,22 @@ class _Linkage:
                 if node is None:
                     node = digest_node[digest] = len(parent)
                     parent.append(node)
+                    marks.append(0)
                 session = sessions[session_col[row]]
                 if session:
                     first = session_node.setdefault(session, node)
-                    if first != node:
-                        _union(parent, first, node)
-                cls = flags[label_col[row]]
-                if cls == _IDENTITY:
-                    identity.add(node)
-                elif cls == _DATA:
-                    data.add(node)
+                    if first != node and _union(parent, marks, first, node) == _COUPLED:
+                        self.coupled = True
+                        if stop:
+                            return
+                flag = flags[label_col[row]]
+                if flag:
+                    root = node if parent[node] == node else _find(parent, node)
+                    mark = marks[root] = marks[root] | flag
+                    if mark == _COUPLED:
+                        self.coupled = True
+                        if stop:
+                            return
                 if shares:
                     share = shares.get(row)
                     if share is not None:
@@ -184,47 +207,35 @@ class _Linkage:
                         share_totals[group] = share.total
                         share_members.setdefault(group, []).append(len(nodes))
                 nodes.append(node)
-        reconstructed: Dict[str, int] = {}
         for group, indices in share_indices.items():
             if len(indices) >= share_totals[group]:
                 members = share_members[group]
                 first = nodes[members[0]]
                 for member in members[1:]:
-                    _union(parent, first, nodes[member])
-                data.add(first)
-                reconstructed[group] = members[0]
-        self.parent = parent
-        self.nodes = nodes
-        self.identity = identity
-        self.data = data
-        self.reconstructed = reconstructed
+                    _union(parent, marks, first, nodes[member])
+                root = _find(parent, first)
+                mark = marks[root] = marks[root] | _DATA
+                if mark == _COUPLED:
+                    self.coupled = True
+                self.reconstructed[group] = members[0]
 
     def root(self, position: int) -> int:
         """The linkage class of the pool's row ``position``."""
         return _find(self.parent, self.nodes[position])
 
     def couples(self) -> bool:
-        """Does some class hold both a sensitive identity and data?
-
-        A pool with no sensitive identity, or with neither sensitive
-        data nor a complete share group, is ``False`` before any
-        ``find``.
-        """
-        if not self.identity or not self.data:
-            return False
-        parent = self.parent
-        identity_roots = {_find(parent, node) for node in self.identity}
-        return any(_find(parent, node) in identity_roots for node in self.data)
+        """Does some class hold both a sensitive identity and data?"""
+        return self.coupled
 
 
-def _linkage_of(observations: Iterable[Observation]) -> _Linkage:
+def _linkage_of(observations: Iterable[Observation], stop: bool = False) -> _Linkage:
     """The linkage of a free-standing pool, routed through a scratch ledger.
 
     Pool positions are the observations' positions in ``observations``.
     """
     ledger = Ledger()
     ledger.ingest(observations)
-    return _Linkage(ledger, [(ledger.active_segment, range(len(ledger)))])
+    return _Linkage(ledger, [(ledger.active_segment, range(len(ledger)))], stop)
 
 
 class DecouplingAnalyzer:
@@ -277,6 +288,8 @@ class DecouplingAnalyzer:
         #: monotone, so pairs are only ever added); ``None`` = unprimed.
         self._violations: Optional[Set[Tuple[str, str]]] = None
         self._verdict_entities: int = -1
+        self._organizations: Tuple[str, ...] = ()
+        self._organizations_entities: int = -1
         # Sync at every segment seal, while the sealed rows are still
         # resident -- once a segment spills, catching up through it
         # would mean re-reading it from disk.  The weakref keeps the
@@ -389,10 +402,6 @@ class DecouplingAnalyzer:
         return self._entity_couples(entity, subject.name)
 
     def _entity_couples(self, entity: str, name: str) -> bool:
-        key = (entity, name)
-        cached = self._entity_couples_memo.get(key)
-        if cached is not None:
-            return cached
         if not self.ledger.pair_is_coupling_candidate(entity, name):
             # The candidate summary is the negative cache: a pool with
             # no sensitive identity, or with neither sensitive data nor
@@ -400,52 +409,57 @@ class DecouplingAnalyzer:
             # memoized -- the O(1) gate stays correct as rows arrive,
             # where a stored False would need invalidating.
             return False
-        ledger = self.ledger
-        cached = _Linkage(ledger, ledger._pool("by_pair", entity, name)).couples()
-        self._entity_couples_memo[key] = cached
-        return cached
+        return self._candidate_couples(entity, name)
 
-    def _coalition_couples_one(self, orgs: FrozenSet[str], name: str) -> bool:
-        """Memoized per-(coalition, subject name) coupling check.
-
-        The pool concatenates the members' buckets, so its cost is the
-        pool size, not the ledger size.  It is not in global record
-        order; the union-find coupling check does not depend on order.
-        """
-        self._sync()
-        key = (orgs, name)
-        cached = self._coalition_couples_memo.get(key)
-        if cached is not None:
-            return cached
-        if not self.ledger.coalition_is_coupling_candidate(orgs, name):
-            return False
-        ledger = self.ledger
-        pool: Pool = []
-        for org in sorted(orgs):
-            pool += ledger._pool("by_org_pair", org, name)
-        cached = _Linkage(ledger, pool).couples()
-        self._coalition_couples_memo[key] = cached
-        if not cached:
-            self._coalition_false_keys.setdefault(name, []).append(key)
+    def _candidate_couples(self, entity: str, name: str) -> bool:
+        """Memoized kernel answer for a pair that passed the candidate gate."""
+        key = (entity, name)
+        memo = self._entity_couples_memo
+        cached = memo.get(key)
+        if cached is None:
+            ledger = self.ledger
+            pool = ledger._pool("by_pair", entity, name)
+            cached = memo[key] = _Linkage(ledger, pool, stop=True).coupled
         return cached
 
     def coalition_couples(
         self, organizations: Iterable[str], subject: Optional[Subject] = None
     ) -> bool:
-        """Would these organizations, colluding, re-couple ▲ with ●?"""
+        """Would these organizations, colluding, re-couple ▲ with ●?
+
+        One probe: only subjects that pass the coalition candidate gate
+        reach the kernel (for every other subject the pooled check is
+        ``False`` by the same gate), newest first, so the pool built
+        before the first ``True`` reloads the fewest spilled segments.
+        Each (coalition, subject name) answer is memoized.  A pool
+        concatenates the members' buckets, so its cost is the pool
+        size, not the ledger size; it is not in global record order,
+        and the coupling kernel does not depend on order.
+        """
         orgs = frozenset(organizations)
-        if subject is not None:
-            return self._coalition_couples_one(orgs, subject.name)
         self._sync()
-        # Only candidate subjects can make the pooled check True; for
-        # every other subject _coalition_couples_one is False by the
-        # same gate, so skipping them cannot change the any().  The
-        # candidates come newest first, so the pool built before the
-        # first True reloads the fewest spilled segments.
-        return any(
-            self._coalition_couples_one(orgs, name)
-            for name in self.ledger.coalition_candidate_names(orgs)
-        )
+        ledger = self.ledger
+        if subject is None:
+            names: Iterable[str] = ledger.coalition_candidate_names(orgs)
+        elif ledger.coalition_is_coupling_candidate(orgs, subject.name):
+            names = (subject.name,)
+        else:
+            return False
+        memo = self._coalition_couples_memo
+        members = sorted(orgs)
+        for name in names:
+            key = (orgs, name)
+            cached = memo.get(key)
+            if cached is None:
+                pool: Pool = []
+                for org in members:
+                    pool += ledger._pool("by_org_pair", org, name)
+                cached = memo[key] = _Linkage(ledger, pool, stop=True).coupled
+                if not cached:
+                    self._coalition_false_keys.setdefault(name, []).append(key)
+            if cached:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -464,16 +478,17 @@ class DecouplingAnalyzer:
         entity_count = len(self.world.entities)
         if self._violations is None or self._verdict_entities != entity_count:
             # Prime: one full pass.  Subjects an entity never observed
-            # cannot couple for it (empty pool); the candidate gate
-            # inside entity_couples dismisses the one-sided rest in
-            # O(1) each.  Attested entities are checked too -- trust is
-            # a per-query rendering decision, not a coupling fact.
+            # cannot couple for it (empty pool), and the ledger reads
+            # the pairs that pass the candidate gate off the entity's
+            # label bitmasks, so the one-sided rest never reach the
+            # kernel.  Attested entities are checked too -- trust is a
+            # per-query rendering decision, not a coupling fact.
             self._verdict_entities = entity_count
             violating: Set[Tuple[str, str]] = set()
             for entity in self.world.non_user_entities():
                 entity_name = entity.name
-                for name in ledger._pair_names(entity_name):
-                    if self._entity_couples(entity_name, name):
+                for name in ledger._candidate_pair_names(entity_name):
+                    if self._candidate_couples(entity_name, name):
                         violating.add((entity_name, name))
             self._violations = violating
             self._pending.clear()
@@ -526,10 +541,16 @@ class DecouplingAnalyzer:
     # ------------------------------------------------------------------
 
     def non_user_organizations(self) -> Tuple[str, ...]:
-        seen: Dict[str, None] = {}
-        for entity in self.world.non_user_entities():
-            seen.setdefault(entity.organization.name, None)
-        return tuple(seen)
+        # Keyed on the entity count, like the verdict: entities are
+        # only ever added, and an organization's trust never changes.
+        entity_count = len(self.world.entities)
+        if self._organizations_entities != entity_count:
+            seen: Dict[str, None] = {}
+            for entity in self.world.non_user_entities():
+                seen.setdefault(entity.organization.name, None)
+            self._organizations = tuple(seen)
+            self._organizations_entities = entity_count
+        return self._organizations
 
     def minimal_recoupling_coalitions(
         self, max_size: Optional[int] = None
@@ -553,17 +574,28 @@ class DecouplingAnalyzer:
                     found.append(coalition)
         return tuple(found)
 
-    def collusion_resistance(self, max_size: Optional[int] = None) -> int:
+    def collusion_resistance(
+        self, max_size: Optional[int] = None, subject: Optional[Subject] = None
+    ) -> int:
         """Size of the smallest re-coupling coalition.
 
-        Returns ``len(non-user orgs) + 1`` when no coalition of any
-        size re-couples (information-theoretic decoupling, as with
-        blind signatures or a VOPRF issuer).
+        Coalitions are probed smallest first, and the walk stops at the
+        first one that re-couples: every smaller coalition has been
+        probed by then, so that coalition is minimal and its size is
+        the smallest of :meth:`minimal_recoupling_coalitions`.  With
+        ``subject``, only that subject's pooled rows count, as in
+        :meth:`coalition_couples`.  Returns ``len(non-user orgs) + 1``
+        when no coalition (up to ``max_size``) re-couples
+        (information-theoretic decoupling, as with blind signatures or
+        a VOPRF issuer).
         """
-        coalitions = self.minimal_recoupling_coalitions(max_size)
-        if not coalitions:
-            return len(self.non_user_organizations()) + 1
-        return min(len(c) for c in coalitions)
+        organizations = self.non_user_organizations()
+        limit = max_size if max_size is not None else len(organizations)
+        for size in range(1, limit + 1):
+            for combo in itertools.combinations(organizations, size):
+                if self.coalition_couples(combo, subject):
+                    return size
+        return len(organizations) + 1
 
     # ------------------------------------------------------------------
     # Breach analysis
@@ -587,7 +619,7 @@ class DecouplingAnalyzer:
                 identified.append(subject)
             if cell.knows_sensitive_data:
                 with_data.append(subject)
-            if _Linkage(ledger, pool).couples():
+            if _Linkage(ledger, pool, stop=True).coupled:
                 coupled.append(subject)
         return BreachReport(
             organization=organization,

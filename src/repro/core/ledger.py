@@ -792,6 +792,21 @@ class Ledger:
         names = self._subjects.values
         return [names[sid] for sid in sorted(self._pair_labels[eid])]
 
+    def _candidate_pair_names(self, entity: str) -> List[str]:
+        """Names of the subjects whose pair with ``entity`` passes
+        :meth:`pair_is_coupling_candidate`, read off the entity's label
+        bitmasks in one pass (in the order the entity first saw them)."""
+        eid = self._entities.ids.get(entity)
+        if eid is None:
+            return []
+        names = self._subjects.values
+        candidate = self._is_candidate
+        return [
+            names[sid]
+            for sid, mask in self._pair_labels[eid].items()
+            if candidate(eid, sid, mask)
+        ]
+
     def subjects_of_entity(self, entity: str) -> Tuple[Subject, ...]:
         """Subjects ``entity`` has observed, in global first-appearance order."""
         return tuple(map(Subject, self._pair_names(entity)))
@@ -839,7 +854,11 @@ class Ledger:
         sid = self._subjects.ids.get(name)
         if eid is None or sid is None:
             return False
-        mask = self._pair_labels[eid].get(sid, 0)
+        return self._is_candidate(eid, sid, self._pair_labels[eid].get(sid, 0))
+
+    def _is_candidate(self, eid: int, sid: int, mask: int) -> bool:
+        """The candidate gate on one pair's label bitmask ``mask``: a
+        sensitive identity, and sensitive data or a secret share."""
         if not mask & self._identity_bits:
             return False
         return bool(mask & self._data_bits) or (eid, sid) in self._share_pairs

@@ -43,7 +43,6 @@ from repro.core.analysis import DecouplingAnalyzer
 from repro.core.audit import audit_grade
 from repro.core.ledger import Ledger, Observation
 from repro.core.metrics import anonymity_set_size, entropy_bits
-from repro.core.values import Subject
 from repro.obs import runtime as _obs
 from repro.obs.metrics import get_registry as _get_registry
 
@@ -74,6 +73,32 @@ INFER_CO_RESIDENT = 0.5
 INFER_COUPLED = 1.0
 
 
+class _Linkability:
+    """:func:`subject_linkability` against one population.
+
+    The population's positive weights, their total, its size and its
+    entropy are worked out once; each subject's score then costs one
+    division, with the same float operations as a fresh call.
+    """
+
+    __slots__ = ("positive", "set_size", "entropy", "total", "effective")
+
+    def __init__(self, population: Mapping[str, float]) -> None:
+        positive = {name: w for name, w in population.items() if w > 0}
+        self.positive = positive
+        self.set_size = anonymity_set_size(positive)
+        self.entropy = entropy_bits(positive)
+        if self.set_size > 1:
+            self.total = sum(positive.values())
+            self.effective = 2.0 ** (-self.entropy)
+
+    def __call__(self, subject: str) -> float:
+        if self.set_size <= 1:
+            return 1.0
+        prior = self.positive.get(subject, 0.0) / self.total
+        return 0.5 * prior + 0.5 * self.effective
+
+
 def subject_linkability(population: Mapping[str, float], subject: str) -> float:
     """How pinnable ``subject`` is against a weighted population, in [0, 1].
 
@@ -84,13 +109,7 @@ def subject_linkability(population: Mapping[str, float], subject: str) -> float:
     1.0 (nowhere to hide).  Growing the population (adding subjects,
     or weight to *other* subjects) never raises this.
     """
-    positive = {name: w for name, w in population.items() if w > 0}
-    if anonymity_set_size(positive) <= 1:
-        return 1.0
-    total = sum(positive.values())
-    prior = positive.get(subject, 0.0) / total
-    effective = 2.0 ** (-entropy_bits(positive))
-    return 0.5 * prior + 0.5 * effective
+    return _Linkability(population)(subject)
 
 
 def inferability_rung(
@@ -287,6 +306,13 @@ class RiskReport:
         self._ledger = ledger
         self._analyzer = analyzer
         self._graph = graph
+        self._linkability = _Linkability(population)
+        #: Per subject, the sensitivities its non-user pairs hold, in
+        #: pair order.
+        self._held: Dict[str, List[float]] = {}
+        for pair in pairs:
+            if not pair.is_user:
+                self._held.setdefault(pair.subject, []).append(pair.sensitivity)
 
     # -- lookups -------------------------------------------------------
 
@@ -352,15 +378,8 @@ class RiskReport:
         decays as 1/cr, so each added decoupled party buys less -- the
         section 4.2 diminishing-returns curve, made quantitative.
         """
-        sens = max(
-            (
-                p.sensitivity
-                for p in self.pairs
-                if p.subject == subject and not p.is_user
-            ),
-            default=0.0,
-        )
-        link = subject_linkability(self.population, subject)
+        sens = max(self._held.get(subject, ()), default=0.0)
+        link = self._linkability(subject)
         resistance = self.subject_resistance.get(
             subject, len(self.organizations) + 1
         )
@@ -393,38 +412,49 @@ class RiskReport:
         """
         analyzer = self._require_analyzer()
         ledger = self._ledger
+        profile = self.profile
+        subjects = ledger.subjects()
+        links = [self._linkability(subject.name) for subject in subjects]
+        # Per organization and subject: the most sensitive weight held,
+        # and whether a sensitive identity and sensitive data are held.
+        # A coalition's pool is its members' pools in coalition order,
+        # so its max and any()s are the max and any()s of these.
+        held: Dict[str, Dict[str, Tuple[float, bool, bool]]] = {}
+        for org in self.organizations:
+            summaries = held[org] = {}
+            for subject in subjects:
+                pool = ledger.by_org_subject(org, subject)
+                if pool:
+                    summaries[subject.name] = (
+                        max(profile.weight_for(o.label, o.description) for o in pool),
+                        any(o.label.is_identity and o.label.is_sensitive for o in pool),
+                        any(o.label.is_data and o.label.is_sensitive for o in pool),
+                    )
         results: List[CoalitionRisk] = []
         limit = max_size if max_size is not None else len(self.organizations)
         for size in range(1, limit + 1):
             for combo in itertools.combinations(self.organizations, size):
-                for subject in ledger.subjects():
-                    pool: List[Observation] = []
-                    for org in combo:
-                        pool.extend(ledger.by_org_subject(org, subject))
-                    if not pool:
+                coalition = frozenset(combo)
+                members = [held[org] for org in combo]
+                for subject, link in zip(subjects, links):
+                    name = subject.name
+                    parts = [held_by[name] for held_by in members if name in held_by]
+                    if not parts:
                         continue
-                    sens = max(
-                        self.profile.weight_for(o.label, o.description)
-                        for o in pool
-                    )
-                    couples = analyzer.coalition_couples(frozenset(combo), subject)
-                    has_identity = any(
-                        o.label.is_identity and o.label.is_sensitive for o in pool
-                    )
-                    has_data = any(
-                        o.label.is_data and o.label.is_sensitive for o in pool
-                    )
+                    sens = max(part[0] for part in parts)
+                    has_identity = any(part[1] for part in parts)
+                    has_data = any(part[2] for part in parts)
+                    couples = analyzer.coalition_couples(coalition, subject)
                     rung = inferability_rung(has_identity, has_data, couples)
-                    link = subject_linkability(self.population, subject.name)
                     score = (
-                        self.profile.w_sensitivity * sens
-                        + self.profile.w_linkability * link
-                        + self.profile.w_inferability * rung
+                        profile.w_sensitivity * sens
+                        + profile.w_linkability * link
+                        + profile.w_inferability * rung
                     )
                     results.append(
                         CoalitionRisk(
-                            organizations=tuple(combo),
-                            subject=subject.name,
+                            organizations=combo,
+                            subject=name,
                             size=size,
                             couples=couples,
                             score=score,
@@ -535,19 +565,6 @@ def _rank_pool(
     return entries
 
 
-def _subject_resistance(
-    analyzer: DecouplingAnalyzer,
-    organizations: Tuple[str, ...],
-    subject: Subject,
-) -> int:
-    """Smallest coalition size that re-couples this one subject."""
-    for size in range(1, len(organizations) + 1):
-        for combo in itertools.combinations(organizations, size):
-            if analyzer.coalition_couples(frozenset(combo), subject):
-                return size
-    return len(organizations) + 1
-
-
 def score_run(
     run: Any = None,
     profile: Optional[SensitivityProfile] = None,
@@ -594,14 +611,9 @@ def score_run(
         if population is not None
         else {subject.name: 1.0 for subject in ledger.subjects()}
     )
-    positive = {name: w for name, w in pop.items() if w > 0}
-    set_size = anonymity_set_size(positive)
-    pop_entropy = entropy_bits(positive)
-    # subject_linkability's total and 2^-H, computed once for every
-    # pair with the same float operations.
-    if set_size > 1:
-        total = sum(positive.values())
-        effective = 2.0 ** (-pop_entropy)
+    linkability = _Linkability(pop)
+    set_size = linkability.set_size
+    pop_entropy = linkability.entropy
     w_s, w_l, w_i = (
         profile.w_sensitivity,
         profile.w_linkability,
@@ -621,11 +633,7 @@ def score_run(
             sens_obs, sens_at = next(
                 entry for entry, w in zip(ranked, weights) if w == sens
             )
-            if set_size <= 1:
-                link = 1.0
-            else:
-                prior = positive.get(subject.name, 0.0) / total
-                link = 0.5 * prior + 0.5 * effective
+            link = linkability(subject.name)
             couples = analyzer.entity_couples(entity.name, subject)
             identity_at = next(
                 (
@@ -755,7 +763,7 @@ def score_run(
 
     organizations = analyzer.non_user_organizations()
     subject_resistance = {
-        subject.name: _subject_resistance(analyzer, organizations, subject)
+        subject.name: analyzer.collusion_resistance(subject=subject)
         for subject in ledger.subjects()
     }
     collusion_resistance = min(

@@ -6,12 +6,14 @@ scenario without recording its expected verdict fails loudly instead
 of silently shrinking coverage.
 """
 
+import functools
 import io
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.core.analysis import DecouplingAnalyzer
 from repro.scenario import all_specs, run_scenario
 
 ALL_SPEC_IDS = sorted(spec.id for spec in all_specs())
@@ -98,7 +100,32 @@ def test_demo_json_schema(name):
     assert "faults" not in document
 
 
+@functools.lru_cache(maxsize=None)
+def _run(name):
+    """One run of the spec at its default parameters, shared below."""
+    return run_scenario(name)
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
 def test_demo_verdicts_match_expectations(name):
-    run = run_scenario(name)
+    run = _run(name)
     assert run.analyzer.verdict().decoupled == EXPECTED_VERDICTS[name], name
+
+
+@pytest.mark.parametrize("name", ALL_SPEC_IDS)
+def test_collusion_resistance_is_the_smallest_minimal_coalition(name):
+    """``collusion_resistance()``, unbounded and under every
+    ``max_size``, is the size of the smallest minimal re-coupling
+    coalition (the demo goldens pin the coalitions), whether it is
+    asked before or after the coalitions are enumerated."""
+    analyzer = DecouplingAnalyzer(_run(name).world)
+    organizations = len(analyzer.non_user_organizations())
+    bounds = [None, *range(organizations + 2)]
+    before = [analyzer.collusion_resistance(max_size=k) for k in bounds]
+    sizes = [len(c) for c in analyzer.minimal_recoupling_coalitions()]
+    expected = [
+        min((s for s in sizes if k is None or s <= k), default=organizations + 1)
+        for k in bounds
+    ]
+    assert before == expected
+    assert [analyzer.collusion_resistance(max_size=k) for k in bounds] == expected

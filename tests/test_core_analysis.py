@@ -110,6 +110,31 @@ class TestCoalitions:
         analyzer = DecouplingAnalyzer(self._split_world())
         assert analyzer.coalition_couples(["org-A", "org-B", "org-nonexistent"])
 
+    def test_resistance_per_subject(self):
+        """``collusion_resistance(subject=...)`` counts one subject's
+        pooled rows: alice re-couples at A alone, bob only with B."""
+        world = self._split_world()
+        bob = Subject("bob")
+        world.get("A").observe(
+            [
+                LabeledValue("ip-2", SENSITIVE_IDENTITY, bob, "ip"),
+                LabeledValue("ct-2", NONSENSITIVE_DATA, bob, "ciphertext"),
+            ],
+            session="pkt:3",
+        )
+        world.get("A").observe(_data("query-9"), session="pkt:1")
+        world.get("B").observe(
+            [LabeledValue("ct-2", NONSENSITIVE_DATA, bob, "ciphertext"),
+             LabeledValue("query-2", SENSITIVE_DATA, bob, "query")],
+            session="pkt:4",
+        )
+        analyzer = DecouplingAnalyzer(world)
+        assert analyzer.collusion_resistance(subject=ALICE) == 1
+        assert analyzer.collusion_resistance(subject=bob) == 2
+        assert analyzer.collusion_resistance(subject=bob, max_size=1) == 3
+        assert analyzer.collusion_resistance(subject=Subject("carol")) == 3
+        assert analyzer.collusion_resistance() == 1
+
 
 class TestShareReconstruction:
     def _share(self, index, total, group="g1"):

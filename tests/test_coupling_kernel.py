@@ -3,14 +3,15 @@
 ``repro.core.analysis._Linkage`` decides whether a pool of ledger rows
 links a sensitive identity to sensitive data.  It reads the ledger's
 columns, so each pool here is routed through a scratch ledger
-(``_linkage_of``) before the kernel sees it.  The
-analyzer equivalence suites (``test_perf_equivalence.py``,
-``test_stream_equivalence.py``) compare two analyzers that both call
-this kernel, so a kernel bug passes them.  Here the kernel is checked
-against the original token-keyed union-find with a recursive ``find``
+(``_linkage_of``) before the kernel sees it.  The kernel has two uses:
+the yes/no callers build with ``stop=True`` and stop at the row that
+forms the first coupled class, and the witness search builds in full.
+Both answers are checked against each other and against the original
+token-keyed union-find with a recursive ``find``
 (``tests/coupling_reference.py``): on generated pools covering every
-linkage feature, on the pools of every registered scenario, and on the
-long linkage chains the reference cannot handle.
+linkage feature, on the pools of every registered scenario, on pools
+that couple only at their last row or only through a completed share
+group, and on the long linkage chains the reference cannot handle.
 """
 
 import itertools
@@ -75,9 +76,18 @@ def _observations_couple(pool):
 
 
 def _both(pool):
-    """The new kernel's answer, after checking it against the reference."""
+    """The kernel's answer, after checking its stop-early build against
+    its full build and both against the reference.
+
+    A stop-early build that ended before the last row must have found a
+    coupled class at the row it stopped on.
+    """
     answer = _observations_couple(pool)
-    assert answer == reference_couple(pool), pool
+    early = _linkage_of(pool, stop=True)
+    assert early.couples() == answer == reference_couple(pool), pool
+    stopped = len(early.nodes)
+    if stopped < len(pool):
+        assert answer and reference_couple(pool[: stopped + 1]), pool
     return answer
 
 
@@ -205,6 +215,101 @@ class TestLinkageRule:
 
 
 # ----------------------------------------------------------------------
+# Pools that couple late
+# ----------------------------------------------------------------------
+
+
+def _joined_on_last_row(filler, last):
+    """▲ and ● in separate classes until the last row joins them."""
+    pool = [
+        _obs(SENSITIVE_IDENTITY, "ip", "s-id"),
+        *(_obs(NONSENSITIVE_DATA, f"f{i}", f"s-f{i % 3}") for i in range(filler)),
+        _obs(SENSITIVE_DATA, "q", "s-data"),
+    ]
+    return pool + [last]
+
+
+#: Last rows that form the coupled class: a session union in either
+#: direction (the row's digest is one side's, its session the
+#: other's), and a sensitive label landing in a class that a session
+#: already joined to the other side.
+_LAST_ROWS = {
+    "digest-of-identity-session-of-data": _obs(NONSENSITIVE_IDENTITY, "ip", "s-data"),
+    "digest-of-data-session-of-identity": _obs(NONSENSITIVE_DATA, "q", "s-id"),
+    "identity-label-in-data-class": _obs(SENSITIVE_IDENTITY, "ip2", "s-data"),
+}
+
+
+class TestLateCoupling:
+    @pytest.mark.parametrize("filler", [0, 1, 7, 40])
+    @pytest.mark.parametrize("last", sorted(_LAST_ROWS))
+    def test_identity_and_data_join_only_on_the_last_row(self, filler, last):
+        pool = _joined_on_last_row(filler, _LAST_ROWS[last])
+        for end in range(len(pool)):
+            assert not _both(pool[:end])
+        assert _both(pool)
+        # The stop-early pass read every row: the coupled class formed
+        # on the last one.
+        assert len(_linkage_of(pool, stop=True).nodes) == len(pool) - 1
+
+    def test_stop_early_pass_ends_at_the_coupling_row(self):
+        pool = [
+            _obs(SENSITIVE_IDENTITY, "ip", "s"),
+            _obs(SENSITIVE_DATA, "q", "s"),
+            *(_obs(NONSENSITIVE_DATA, f"f{i}", f"s{i}") for i in range(50)),
+        ]
+        assert _both(pool)
+        assert len(_linkage_of(pool, stop=True).nodes) == 1
+        assert len(_linkage_of(pool).nodes) == len(pool)
+
+    @pytest.mark.parametrize(
+        "pool, couples",
+        [
+            # The group's completion puts reconstructed data in the
+            # identity's class ...
+            (
+                [
+                    _obs(SENSITIVE_IDENTITY, "ip", "s1"),
+                    _obs(NONSENSITIVE_DATA, "a", "s1", ShareInfo("g", 0, 3)),
+                    _obs(NONSENSITIVE_DATA, "b", "s2", ShareInfo("g", 1, 3)),
+                    _obs(NONSENSITIVE_IDENTITY, "p", "s3"),
+                    _obs(NONSENSITIVE_DATA, "c", "s4", ShareInfo("g", 2, 3)),
+                ],
+                True,
+            ),
+            # ... or joins an identity class to a data class that no
+            # session or digest joins ...
+            (
+                [
+                    _obs(SENSITIVE_IDENTITY, "ip", "s1"),
+                    _obs(NONSENSITIVE_DATA, "a", "s1", ShareInfo("g", 0, 2)),
+                    _obs(SENSITIVE_DATA, "q", "s2"),
+                    _obs(NONSENSITIVE_DATA, "b", "s2", ShareInfo("g", 1, 2)),
+                ],
+                True,
+            ),
+            # ... and an incomplete group does neither.
+            (
+                [
+                    _obs(SENSITIVE_IDENTITY, "ip", "s1"),
+                    _obs(NONSENSITIVE_DATA, "a", "s1", ShareInfo("g", 0, 3)),
+                    _obs(SENSITIVE_DATA, "q", "s2"),
+                    _obs(NONSENSITIVE_DATA, "b", "s2", ShareInfo("g", 1, 3)),
+                ],
+                False,
+            ),
+        ],
+    )
+    def test_only_a_completed_share_group_couples(self, pool, couples):
+        for end in range(len(pool)):
+            assert not _both(pool[:end])
+        assert _both(pool) is couples
+        # Nothing coupled during the pass, so the stop-early build read
+        # every row and closed the group after it.
+        assert len(_linkage_of(pool, stop=True).nodes) == len(pool)
+
+
+# ----------------------------------------------------------------------
 # Long linkage chains
 # ----------------------------------------------------------------------
 
@@ -227,6 +332,7 @@ class TestLongChains:
     def test_twenty_thousand_link_chain_couples(self):
         pool = _zigzag_chain(20_001)
         assert _observations_couple(pool)
+        assert _linkage_of(pool, stop=True).couples()
         # Cut the chain in the middle and it no longer couples.
         assert not _observations_couple(pool[:10_000] + pool[10_002:])
         # Long enough to matter: the replaced kernel's recursive find

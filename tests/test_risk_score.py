@@ -30,6 +30,7 @@ from repro.risk.score import (
     INFER_ONE_SIDED,
 )
 from repro.scenario import all_specs, run_scenario
+import risk_reference
 
 ALICE = Subject("alice")
 BOB = Subject("bob")
@@ -257,6 +258,37 @@ def test_witness_indices_name_their_ledger_rows():
         row = rows[cell.observation]
         assert (row.entity, row.subject.name) == (cell.entity, cell.subject)
         assert (row.label.glyph, row.description) == (cell.glyph, cell.description)
+
+
+def test_report_equals_the_direct_formulas():
+    """Every linkability, subject exposure, the system risk, every
+    coalition risk and every subject's resistance equal the formulas as
+    first written (``tests/risk_reference.py``), float for float, on a
+    300-sender ``mixnet`` run: under the uniform population, and under
+    a skewed one with zero weights and a subject the run never saw."""
+    run = run_scenario("mixnet", senders=300, batch_size=10, seed=7)
+    ledger = run.world.ledger
+    names = [subject.name for subject in ledger.subjects()]
+    skewed = {name: float(i % 7) for i, name in enumerate(names)}
+    skewed["nobody"] = 2.5
+    for population in (None, skewed):
+        report = score_run(run, population=population)
+        for pair in report.pairs:
+            (link,) = [t.subscore for t in pair.terms if t.component == "linkability"]
+            assert link == risk_reference.subject_linkability(
+                report.population, pair.subject
+            )
+        for name in report.subjects:
+            assert report.subject_exposure(name) == risk_reference.subject_exposure(
+                report, name
+            )
+        assert report.system_risk() == risk_reference.system_risk(report)
+        assert report.coalition_risks() == risk_reference.coalition_risks(
+            report, ledger, run.analyzer
+        )
+    assert report.subject_resistance == risk_reference.subject_resistance(
+        DecouplingAnalyzer(run.world), report.organizations, ledger
+    )
 
 
 class TestRiskReport:

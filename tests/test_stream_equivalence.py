@@ -5,15 +5,20 @@ and lets :class:`DecouplingAnalyzer` answer mid-run.  The contract is
 byte-identity: at *any* ledger version, whatever interleaving of
 ``record``/``record_fast``/``seal_active_segment``/
 ``spill_sealed_segments`` produced the rows, the streaming analyzer's
-``verdict()``, ``table()``, and ``minimal_recoupling_coalitions()``
-render identically to the full-scan test oracle
-(``tests/analyzer_reference.py``) -- and to a *fresh* analyzer over a
-replay of the same row prefix.
+``verdict()``, ``table()``, ``minimal_recoupling_coalitions()`` and
+``collusion_resistance()`` render identically to the full-scan test
+oracle (``tests/analyzer_reference.py``) -- and to a *fresh* analyzer
+over a replay of the same row prefix.
+
+``collusion_resistance()`` stops at the first coalition that
+re-couples, where the oracle takes the smallest of all minimal
+coalitions; the last test pins that it stops there.
 """
 
 from hypothesis import given, strategies as st
 
 from analyzer_reference import ReferenceAnalyzer
+from repro.core import analysis
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
 from repro.core.labels import (
@@ -23,6 +28,7 @@ from repro.core.labels import (
     SENSITIVE_IDENTITY,
 )
 from repro.core.values import LabeledValue, ShareInfo, Subject
+from repro.scenario import run_scenario
 
 SUBJECTS = {"alice": Subject("alice"), "bob": Subject("bob")}
 
@@ -128,11 +134,24 @@ def _coalitions(analyzer):
     )
 
 
+def _resistances(analyzer):
+    """``collusion_resistance()``, then with every ``max_size`` bound."""
+    bounds = range(len(analyzer.non_user_organizations()) + 2)
+    return [analyzer.collusion_resistance()] + [
+        analyzer.collusion_resistance(max_size=k) for k in bounds
+    ]
+
+
 def _assert_matches_reference(world: World, streaming: DecouplingAnalyzer) -> None:
     reference = ReferenceAnalyzer(world)
+    resistances = _resistances(reference)
+    # Asked before and after the coalition enumeration, so that neither
+    # order of filling the coalition memo can hide a wrong answer.
+    assert _resistances(streaming) == resistances
     assert str(streaming.verdict()) == str(reference.verdict())
     assert str(streaming.table()) == str(reference.table())
     assert _coalitions(streaming) == _coalitions(reference)
+    assert _resistances(streaming) == resistances
 
 
 @given(ops=OPS, segment_rows=st.sampled_from([2, 3, 1000]), spill=st.booleans())
@@ -246,3 +265,46 @@ def test_scale_workload_mid_run_equals_naive_oracle():
     streaming = DecouplingAnalyzer(result.world)
     assert str(streaming.verdict()) == str(reference.verdict())
     assert streaming.collusion_resistance() == reference.collusion_resistance() == 2
+
+
+def test_collusion_resistance_stops_at_the_first_recoupling_coalition(monkeypatch):
+    """Coalitions are probed smallest first, and no coalition pool is
+    built once one re-couples.  On a 2,000-query ``odns`` run that is 2
+    kernel builds, where enumerating every minimal coalition first took
+    4."""
+    run = run_scenario("odns", queries=2000)
+    analyzer = DecouplingAnalyzer(run.world)
+    probes = []  # (coalition, answer), in probe order
+    builds = []  # the coalition being probed at each kernel build
+    probing = [None]
+    coalition_couples = DecouplingAnalyzer.coalition_couples
+    linkage_init = analysis._Linkage.__init__
+
+    def counted_probe(self, organizations, subject=None):
+        probing[0] = coalition = frozenset(organizations)
+        answer = coalition_couples(self, organizations, subject)
+        probes.append((coalition, answer))
+        return answer
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(probing[0])
+        linkage_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecouplingAnalyzer, "coalition_couples", counted_probe)
+    monkeypatch.setattr(analysis._Linkage, "__init__", counted_build)
+    resistance = analyzer.collusion_resistance()
+    monkeypatch.undo()
+
+    first = next(coalition for coalition, answer in probes if answer)
+    assert resistance == len(first) == 2
+    assert probes[-1] == (first, True)
+    assert [len(coalition) for coalition, _ in probes] == sorted(
+        len(coalition) for coalition, _ in probes
+    )
+    assert builds and builds[-1] == first
+    assert len(builds) == 2
+    # The answer is the oracle's: the smallest minimal coalition.
+    coalitions = DecouplingAnalyzer(run.world).minimal_recoupling_coalitions()
+    assert first in coalitions
+    assert resistance == min(len(coalition) for coalition in coalitions)
+
