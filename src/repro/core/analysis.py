@@ -252,10 +252,11 @@ class DecouplingAnalyzer:
     coupling as rows arrive -- so ``True`` memo entries are sticky and
     only ``False`` answers are ever re-derived.  On top of that the
     ledger's O(1) candidate summaries
-    (:meth:`~repro.core.ledger.Ledger.pair_is_coupling_candidate`)
-    dismiss one-sided pairs without touching their rows, which is what
-    makes mid-run ``verdict()``/``coalition_couples()`` answers cheap
-    at a million subjects: the analyzer can be queried at any ledger
+    (:meth:`~repro.core.ledger.Ledger.entity_is_coupling_candidate`,
+    :meth:`~repro.core.ledger.Ledger.pair_is_coupling_candidate`)
+    dismiss one-sided entities and pairs without touching their rows,
+    which is what makes mid-run ``verdict()``/``coalition_couples()``
+    answers cheap at a million subjects: the analyzer can be queried at any ledger
     version during ingest, and the answer is byte-identical to a fresh
     full-scan derivation over the same rows (the equivalence suites pin
     this against an independent test oracle).  :meth:`Ledger.clear
@@ -268,6 +269,10 @@ class DecouplingAnalyzer:
         self.ledger: Ledger = world.ledger
         self._facets_memo: Optional[Tuple[Facet, ...]] = None
         self._facets_version: int = -1
+        #: label-id bitmask -> its knowledge cell, for the ledger version
+        #: the facets were read at (the facet tuple is fixed for a
+        #: version, and label ids are fixed for a generation).
+        self._cells: Dict[int, KnowledgeCell] = {}
         # Memo keys use subject *names*: subjects are equal iff their
         # names are, and the dirty-pair bookkeeping from the sync loop
         # arrives as names.
@@ -369,14 +374,27 @@ class DecouplingAnalyzer:
         if version != self._facets_version or self._facets_memo is None:
             self._facets_memo = facets_in_ledger(self.ledger)
             self._facets_version = version
+            self._cells.clear()
         return self._facets_memo
+
+    def _cell(self, mask: int) -> KnowledgeCell:
+        """The cell of a label-id bitmask, built once per ledger version.
+
+        A table of a thousand entities holds a handful of distinct
+        cells; each is built on first use and shared after.
+        """
+        facets = self.facets()
+        cell = self._cells.get(mask)
+        if cell is None:
+            labels = self.ledger._label_set(mask)
+            cell = self._cells[mask] = cell_from_labels(labels, facets)
+        return cell
 
     def knowledge_cell(
         self, entity: str, subject: Optional[Subject] = None
     ) -> KnowledgeCell:
         """The cell for one entity, maximized over subjects by default."""
-        labels = self.ledger.labels_of(entity, subject)
-        return cell_from_labels(labels, self.facets())
+        return self._cell(self.ledger._label_mask(entity, subject))
 
     def table(
         self,
@@ -439,21 +457,32 @@ class DecouplingAnalyzer:
         orgs = frozenset(organizations)
         self._sync()
         ledger = self.ledger
+        oids = ledger._org_ids(orgs)
         if subject is None:
-            names: Iterable[str] = ledger.coalition_candidate_names(orgs)
-        elif ledger.coalition_is_coupling_candidate(orgs, subject.name):
-            names = (subject.name,)
-        else:
-            return False
+            return self._probe(orgs, oids, ledger._coalition_candidates(oids))
+        sid = ledger._subject_id(subject.name)
+        return (
+            sid is not None
+            and ledger._coalition_is_candidate(oids, sid)
+            and self._probe(orgs, oids, (sid,))
+        )
+
+    def _probe(self, orgs: FrozenSet[str], oids: Sequence[int], sids: Iterable[int]) -> bool:
+        """Does coalition ``orgs`` (organization ids ``oids``) couple for
+        one of the gated subject ids ``sids``?
+
+        Stops at the first subject that couples; each (coalition,
+        subject name) answer is memoized.
+        """
+        ledger = self.ledger
+        names = ledger._subjects.values
         memo = self._coalition_couples_memo
-        members = sorted(orgs)
-        for name in names:
+        for sid in sids:
+            name = names[sid]
             key = (orgs, name)
             cached = memo.get(key)
             if cached is None:
-                pool: Pool = []
-                for org in members:
-                    pool += ledger._pool("by_org_pair", org, name)
+                pool = ledger._rows("by_org_pair", oids, sid)
                 cached = memo[key] = _Linkage(ledger, pool, stop=True).coupled
                 if not cached:
                     self._coalition_false_keys.setdefault(name, []).append(key)
@@ -481,8 +510,10 @@ class DecouplingAnalyzer:
             # cannot couple for it (empty pool), and the ledger reads
             # the pairs that pass the candidate gate off the entity's
             # label bitmasks, so the one-sided rest never reach the
-            # kernel.  Attested entities are checked too -- trust is a
-            # per-query rendering decision, not a coupling fact.
+            # kernel; an entity that holds one side only is dismissed
+            # whole, without a pair gate.  Attested entities are
+            # checked too -- trust is a per-query rendering decision,
+            # not a coupling fact.
             self._verdict_entities = entity_count
             violating: Set[Tuple[str, str]] = set()
             for entity in self.world.non_user_entities():
@@ -496,13 +527,19 @@ class DecouplingAnalyzer:
             # Incremental: a pair's coupling state depends only on its
             # own pool, so only pairs with new rows since the last
             # verdict need re-evaluation; coupling is monotone, so
-            # existing violations never leave.
+            # existing violations never leave.  Pairs of an entity
+            # that fails the entity gate cannot couple yet, and are
+            # dismissed without a pair gate.
             pending = self._pending
             self._pending = set()
             violating = self._violations
-            non_user = {e.name for e in self.world.non_user_entities()}
+            gated = {
+                e.name
+                for e in self.world.non_user_entities()
+                if ledger.entity_is_coupling_candidate(e.name)
+            }
             for pair in pending:
-                if pair in violating or pair[0] not in non_user:
+                if pair in violating or pair[0] not in gated:
                     continue
                 if self._entity_couples(*pair):
                     violating.add(pair)
@@ -514,7 +551,6 @@ class DecouplingAnalyzer:
             by_entity: Dict[str, List[str]] = {}
             for entity_name, name in self._violations:
                 by_entity.setdefault(entity_name, []).append(name)
-            facets = self.facets()
             for entity in self.world.non_user_entities():
                 if trust_attested and entity.organization.attested:
                     continue
@@ -523,13 +559,12 @@ class DecouplingAnalyzer:
                     continue
                 for name in sorted(names, key=order.__getitem__):
                     subject = ledger.subject(name)
-                    labels = ledger.labels_of(entity.name, subject)
                     rendered.append(
                         CouplingViolation(
                             entity=entity.name,
                             organization=entity.organization.name,
                             subject=subject,
-                            cell=cell_from_labels(labels, facets),
+                            cell=self._cell(ledger._label_mask(entity.name, subject)),
                         )
                     )
         return DecouplingVerdict(
@@ -564,13 +599,16 @@ class DecouplingAnalyzer:
         """
         organizations = self.non_user_organizations()
         limit = max_size if max_size is not None else len(organizations)
+        self._sync()
+        ledger = self.ledger
         found: List[FrozenSet[str]] = []
         for size in range(1, limit + 1):
             for combo in itertools.combinations(organizations, size):
                 coalition = frozenset(combo)
                 if any(prior <= coalition for prior in found):
                     continue
-                if self.coalition_couples(coalition):
+                oids = ledger._org_ids(combo)
+                if self._probe(coalition, oids, ledger._coalition_candidates(oids)):
                     found.append(coalition)
         return tuple(found)
 
@@ -579,23 +617,86 @@ class DecouplingAnalyzer:
     ) -> int:
         """Size of the smallest re-coupling coalition.
 
-        Coalitions are probed smallest first, and the walk stops at the
-        first one that re-couples: every smaller coalition has been
-        probed by then, so that coalition is minimal and its size is
-        the smallest of :meth:`minimal_recoupling_coalitions`.  With
-        ``subject``, only that subject's pooled rows count, as in
-        :meth:`coalition_couples`.  Returns ``len(non-user orgs) + 1``
-        when no coalition (up to ``max_size``) re-couples
-        (information-theoretic decoupling, as with blind signatures or
-        a VOPRF issuer).
+        Coupling is monotone in the coalition: pooling one more
+        organization's rows never unlinks a class.  So the query needs
+        an upper bound and a descent, not a walk over every small
+        coalition:
+
+        * **The bound.**  The newest subject that passes the whole
+          non-user coalition's candidate gate has its rows alone walked
+          smallest first; the first coalition whose pooled rows couple
+          for it bounds the answer.
+        * **The descent.**  While some coalition one size below the
+          bound re-couples, for any subject, the bound drops by one.
+          A size at which no coalition re-couples rules out every
+          smaller size, since each smaller coalition lies inside one of
+          that size.
+
+        The answer is the smallest size of
+        :meth:`minimal_recoupling_coalitions`.  With ``subject``, only
+        that subject's pooled rows count, as in
+        :meth:`coalition_couples`, and the walk is the whole query.
+        Returns ``len(non-user orgs) + 1`` when no coalition (up to
+        ``max_size``) re-couples (information-theoretic decoupling, as
+        with blind signatures or a VOPRF issuer).
         """
         organizations = self.non_user_organizations()
-        limit = max_size if max_size is not None else len(organizations)
+        everyone = len(organizations)
+        limit = everyone if max_size is None else min(max_size, everyone)
+        self._sync()
+        ledger = self.ledger
+        if subject is not None:
+            sid = ledger._subject_id(subject.name)
+            bound = None if sid is None else self._smallest_for(organizations, limit, sid)
+            return everyone + 1 if bound is None else bound
+        known = ledger._org_ids(organizations)
+        candidates = ledger._coalition_candidates(known)
+        if not candidates:
+            return everyone + 1
+        bound = self._smallest_for(organizations, limit, candidates[0])
+        size = limit + 1 if bound is None else bound
+        while size > 1 and self._some_couples(organizations, size - 1, known, candidates):
+            size -= 1
+        return size if size <= limit else everyone + 1
+
+    def _smallest_for(
+        self, organizations: Sequence[str], limit: int, sid: int
+    ) -> Optional[int]:
+        """The size of the first coalition, smallest first and up to
+        ``limit``, whose pooled rows about subject id ``sid`` couple."""
+        ledger = self.ledger
         for size in range(1, limit + 1):
             for combo in itertools.combinations(organizations, size):
-                if self.coalition_couples(combo, subject):
+                oids = ledger._org_ids(combo)
+                if ledger._coalition_is_candidate(oids, sid) and self._probe(
+                    frozenset(combo), oids, (sid,)
+                ):
                     return size
-        return len(organizations) + 1
+        return None
+
+    def _some_couples(
+        self,
+        organizations: Sequence[str],
+        size: int,
+        known: Sequence[int],
+        candidates: List[int],
+    ) -> bool:
+        """Does some coalition of ``size`` organizations re-couple?
+
+        ``known`` and ``candidates`` are the whole coalition's
+        organization ids and candidate subject ids: a coalition that
+        holds every known organization has exactly those candidates.
+        """
+        ledger = self.ledger
+        for combo in itertools.combinations(organizations, size):
+            oids = ledger._org_ids(combo)
+            if len(oids) < len(known):
+                sids = ledger._coalition_candidates(oids)
+            else:
+                sids = candidates
+            if self._probe(frozenset(combo), oids, sids):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Breach analysis
@@ -607,14 +708,15 @@ class DecouplingAnalyzer:
         with_data: List[Subject] = []
         coupled: List[Subject] = []
         ledger = self.ledger
-        for name in ledger.subject_names():
-            pool = ledger._pool("by_org_pair", organization, name)
+        oids = ledger._org_ids((organization,))
+        for sid, name in enumerate(ledger.subject_names()):
+            pool = ledger._rows("by_org_pair", oids, sid)
             if not pool:
                 # An empty pool yields an all-non-sensitive cell and no
                 # coupling.
                 continue
             subject = Subject(name)
-            cell = cell_from_labels(ledger._pool_labels(pool), self.facets())
+            cell = self._cell(ledger._pool_mask(pool))
             if cell.knows_sensitive_identity:
                 identified.append(subject)
             if cell.knows_sensitive_data:

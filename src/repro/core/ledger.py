@@ -192,6 +192,8 @@ class Ledger:
         self._data_bits = 0
         #: Per entity id: bitmask of the label ids it observed.
         self._entity_labels: List[int] = []
+        #: Per entity id: whether it observed a secret share.
+        self._entity_shares: List[bool] = []
         #: Per entity id: subject id -> bitmask of the label ids seen.
         self._pair_labels: List[Dict[int, int]] = []
         #: Per organization id: the subject ids it saw with a secret
@@ -375,6 +377,7 @@ class Ledger:
 
     def _new_entity(self, entity: str) -> int:
         self._entity_labels.append(0)
+        self._entity_shares.append(False)
         self._pair_labels.append({})
         return self._entities.add(entity)
 
@@ -493,6 +496,7 @@ class Ledger:
             if share is not None:
                 segment.shares[row] = share
                 self._share_pairs.add((eid, subject))
+                self._entity_shares[eid] = True
                 org_subjects[0][subject] = None
             row += 1
         self._entity_labels[eid] |= entity_mask
@@ -711,28 +715,52 @@ class Ledger:
         """The rows of one (entity or organization, subject) bucket.
 
         ``buckets`` is ``"by_pair"`` (``key`` an entity) or
-        ``"by_org_pair"`` (``key`` an organization).  Spilled segments
-        whose key summary lacks the pair are skipped without a reload.
+        ``"by_org_pair"`` (``key`` an organization).
         """
-        table, summary = (
-            (self._entities, "pair") if buckets == "by_pair" else (self._orgs, "org_pair")
-        )
+        table = self._entities if buckets == "by_pair" else self._orgs
         kid = table.ids.get(key)
         sid = self._subjects.ids.get(name)
         if kid is None or sid is None:
             return []
+        return self._rows(buckets, (kid,), sid)
+
+    def _rows(self, buckets: str, keys: Sequence[int], sid: int) -> Pool:
+        """The rows of ``keys``' buckets about subject id ``sid``.
+
+        ``buckets`` is ``"by_pair"`` (``keys`` are entity ids) or
+        ``"by_org_pair"`` (organization ids); the ids come resolved, so
+        a query that pools many subjects over the same keys -- a
+        coalition probe, a breach -- resolves them once, and each pool
+        walks the segments once for all keys.  A spilled segment whose
+        key summary holds none of the (key, subject) pairs is skipped
+        without a reload.
+        """
+        summary = "pair" if buckets == "by_pair" else "org_pair"
         pool: Pool = []
         for segment in self._segments:
             index = getattr(segment, buckets)
             if index is None:
-                if not segment.has_key(summary, kid << 32 | sid):
+                if not any(segment.has_key(summary, key << 32 | sid) for key in keys):
                     continue
                 index = getattr(self._loaded(segment), buckets)
-            rows = index.get(kid)
-            rows = rows.get(sid) if rows else None
-            if rows:
-                pool.append((segment, rows))
+            for key in keys:
+                subjects = index.get(key)
+                if subjects:
+                    rows = subjects.get(sid)
+                    if rows:
+                        pool.append((segment, rows))
         return pool
+
+    def _org_ids(self, organizations: Iterable[str]) -> Tuple[int, ...]:
+        """The ids of the ``organizations`` that observed anything, in
+        name order: a coalition's pools then list its members' rows in
+        one order, however the caller listed them."""
+        ids = self._orgs.ids
+        return tuple(ids[org] for org in sorted(organizations) if org in ids)
+
+    def _subject_id(self, name: str) -> Optional[int]:
+        """The id of subject ``name`` (``None`` if unseen)."""
+        return self._subjects.ids.get(name)
 
     def _scan(self, column: str, table: _Table, key: str) -> Tuple[Observation, ...]:
         """Every row whose ``column`` id is ``key``'s, in record order."""
@@ -795,10 +823,12 @@ class Ledger:
     def _candidate_pair_names(self, entity: str) -> List[str]:
         """Names of the subjects whose pair with ``entity`` passes
         :meth:`pair_is_coupling_candidate`, read off the entity's label
-        bitmasks in one pass (in the order the entity first saw them)."""
-        eid = self._entities.ids.get(entity)
-        if eid is None:
+        bitmasks in one pass (in the order the entity first saw them).
+        An entity that fails :meth:`entity_is_coupling_candidate` has
+        none, and none of its pairs is gated."""
+        if not self.entity_is_coupling_candidate(entity):
             return []
+        eid = self._entities.ids[entity]
         names = self._subjects.values
         candidate = self._is_candidate
         return [
@@ -818,22 +848,26 @@ class Ledger:
 
     def labels_of(self, entity: str, subject: Optional[Subject] = None) -> Set[Label]:
         """The set of labels ``entity`` has observed (optionally per subject)."""
+        return self._label_set(self._label_mask(entity, subject))
+
+    def _label_mask(self, entity: str, subject: Optional[Subject] = None) -> int:
+        """:meth:`labels_of` as a bitmask over label ids."""
         eid = self._entities.ids.get(entity)
         if eid is None:
-            return set()
+            return 0
         if subject is None:
-            return self._label_set(self._entity_labels[eid])
+            return self._entity_labels[eid]
         sid = self._subjects.ids.get(subject.name)
-        return self._label_set(self._pair_labels[eid].get(sid, 0))
+        return self._pair_labels[eid].get(sid, 0)
 
-    def _pool_labels(self, pool: Pool) -> Set[Label]:
-        """The labels of a pool's rows."""
+    def _pool_mask(self, pool: Pool) -> int:
+        """The labels of a pool's rows, as a bitmask over label ids."""
         mask = 0
         for segment, rows in pool:
             column = segment.label
             for lid in set(map(column.__getitem__, rows)):
                 mask |= 1 << lid
-        return self._label_set(mask)
+        return mask
 
     # ------------------------------------------------------------------
     # Streaming-analyzer summaries
@@ -863,18 +897,29 @@ class Ledger:
             return False
         return bool(mask & self._data_bits) or (eid, sid) in self._share_pairs
 
-    def coalition_is_coupling_candidate(
-        self, organizations: Iterable[str], name: str
-    ) -> bool:
-        """Same pre-filter for a pooled coalition and one subject."""
-        sid = self._subjects.ids.get(name)
-        if sid is None:
+    def entity_is_coupling_candidate(self, entity: str) -> bool:
+        """Can any of this entity's pairs possibly couple?
+
+        The pair gate applied to the entity-level label bitmask (the
+        union of its pairs' bitmasks) and its share flag: an entity
+        that never saw a sensitive identity, or never saw sensitive
+        data or a secret share, has no pair that passes
+        :meth:`pair_is_coupling_candidate`.  In a decoupled system most
+        entities hold one side only, and they are dismissed whole.
+        """
+        eid = self._entities.ids.get(entity)
+        if eid is None:
             return False
+        mask = self._entity_labels[eid]
+        if not mask & self._identity_bits:
+            return False
+        return bool(mask & self._data_bits) or self._entity_shares[eid]
+
+    def _coalition_is_candidate(self, oids: Sequence[int], sid: int) -> bool:
+        """The candidate gate for organization ids ``oids`` pooled, and
+        subject id ``sid``."""
         has_identity = has_data = False
-        for org in organizations:
-            oid = self._orgs.ids.get(org)
-            if oid is None:
-                continue
+        for oid in oids:
             share, identity, data = self._org_subjects[oid]
             has_identity = has_identity or sid in identity
             has_data = has_data or sid in data or sid in share
@@ -882,37 +927,31 @@ class Ledger:
                 return True
         return False
 
-    def coalition_candidate_names(
-        self, organizations: Iterable[str]
-    ) -> Iterator[str]:
-        """Subject names that pass the coalition candidate pre-filter.
+    def _coalition_candidates(self, oids: Sequence[int]) -> List[int]:
+        """Subject ids that pass the coalition candidate gate for
+        organization ids ``oids`` pooled, newest first.
 
         The pooled coupling check only needs to visit these: a subject
         for whom the coalition holds no sensitive identity, or neither
         sensitive data nor shares, cannot couple no matter how its
         observations link.
 
-        Names come newest first, by first appearance.  A subject's rows
-        all lie at or after its first appearance, so a caller that
+        Subject ids number subjects by first appearance.  A subject's
+        rows all lie at or after its first appearance, so a caller that
         stops at the first coupling subject builds the pool that
         touches the fewest old (possibly spilled) segments, and the
         probe order never depends on string hashing.
         """
-        maps = [
-            self._org_subjects[self._orgs.ids[org]]
-            for org in organizations
-            if org in self._orgs.ids
-        ]
+        maps = [self._org_subjects[oid] for oid in oids]
         data: Set[int] = set()
         for share, _, subjects in maps:
             data.update(share, subjects)
         if not data:
-            return iter(())
+            return []
         identity: Set[int] = set()
         for _, subjects, _ in maps:
             identity.update(subjects)
-        names = self._subjects.values
-        return (names[sid] for sid in sorted(identity & data, reverse=True))
+        return sorted(identity & data, reverse=True)
 
     # ------------------------------------------------------------------
     # Merge / reset

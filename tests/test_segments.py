@@ -426,8 +426,9 @@ def test_coalition_candidates_are_probed_newest_first(tmp_path):
             session=f"tg-{index}",
         )
     coalition = frozenset({"org-p", "org-t"})
-    assert list(ledger.coalition_candidate_names(coalition)) == names[::-1]
-    assert list(ledger.coalition_candidate_names({"org-p"})) == []
+    candidates = ledger._coalition_candidates(ledger._org_ids(sorted(coalition)))
+    assert [ledger.subject_names()[sid] for sid in candidates] == names[::-1]
+    assert ledger._coalition_candidates(ledger._org_ids(["org-p"])) == []
     # Every subject but the newest lives in a spilled segment.
     assert ledger.memory_accounting()["resident_rows"] == 4
     assert DecouplingAnalyzer(world).coalition_couples(coalition)

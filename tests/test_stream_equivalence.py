@@ -10,15 +10,15 @@ byte-identity: at *any* ledger version, whatever interleaving of
 oracle (``tests/analyzer_reference.py``) -- and to a *fresh* analyzer
 over a replay of the same row prefix.
 
-``collusion_resistance()`` stops at the first coalition that
-re-couples, where the oracle takes the smallest of all minimal
-coalitions; the last test pins that it stops there.
+``collusion_resistance()`` bounds its answer from one subject and
+descends one size at a time, where the oracle takes the smallest of all
+minimal coalitions; ``tests/test_analyzer_work.py`` pins what it
+probes.
 """
 
 from hypothesis import given, strategies as st
 
 from analyzer_reference import ReferenceAnalyzer
-from repro.core import analysis
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
 from repro.core.labels import (
@@ -28,7 +28,6 @@ from repro.core.labels import (
     SENSITIVE_IDENTITY,
 )
 from repro.core.values import LabeledValue, ShareInfo, Subject
-from repro.scenario import run_scenario
 
 SUBJECTS = {"alice": Subject("alice"), "bob": Subject("bob")}
 
@@ -265,46 +264,3 @@ def test_scale_workload_mid_run_equals_naive_oracle():
     streaming = DecouplingAnalyzer(result.world)
     assert str(streaming.verdict()) == str(reference.verdict())
     assert streaming.collusion_resistance() == reference.collusion_resistance() == 2
-
-
-def test_collusion_resistance_stops_at_the_first_recoupling_coalition(monkeypatch):
-    """Coalitions are probed smallest first, and no coalition pool is
-    built once one re-couples.  On a 2,000-query ``odns`` run that is 2
-    kernel builds, where enumerating every minimal coalition first took
-    4."""
-    run = run_scenario("odns", queries=2000)
-    analyzer = DecouplingAnalyzer(run.world)
-    probes = []  # (coalition, answer), in probe order
-    builds = []  # the coalition being probed at each kernel build
-    probing = [None]
-    coalition_couples = DecouplingAnalyzer.coalition_couples
-    linkage_init = analysis._Linkage.__init__
-
-    def counted_probe(self, organizations, subject=None):
-        probing[0] = coalition = frozenset(organizations)
-        answer = coalition_couples(self, organizations, subject)
-        probes.append((coalition, answer))
-        return answer
-
-    def counted_build(self, *args, **kwargs):
-        builds.append(probing[0])
-        linkage_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DecouplingAnalyzer, "coalition_couples", counted_probe)
-    monkeypatch.setattr(analysis._Linkage, "__init__", counted_build)
-    resistance = analyzer.collusion_resistance()
-    monkeypatch.undo()
-
-    first = next(coalition for coalition, answer in probes if answer)
-    assert resistance == len(first) == 2
-    assert probes[-1] == (first, True)
-    assert [len(coalition) for coalition, _ in probes] == sorted(
-        len(coalition) for coalition, _ in probes
-    )
-    assert builds and builds[-1] == first
-    assert len(builds) == 2
-    # The answer is the oracle's: the smallest minimal coalition.
-    coalitions = DecouplingAnalyzer(run.world).minimal_recoupling_coalitions()
-    assert first in coalitions
-    assert resistance == min(len(coalition) for coalition in coalitions)
-
